@@ -304,6 +304,34 @@ def solve(a, b, strategy="huang", x1=None, tol=None, keep_iterates=False,
                        residual_norm=res, iterates=iterates)
 
 
+# Entries per temporary block of :func:`subtract_outer`: 256 KiB of float64,
+# small enough to stay in cache, large enough to amortise the numpy calls.
+OUTER_BLOCK = 32768
+
+
+def subtract_outer(h, u, v):
+    """In place ``h -= np.outer(u, v)``, bit for bit, without the n x n
+    temporary.
+
+    Each entry is ``h[i, j] - u[i] * v[j]`` with the product rounded
+    first, exactly as the unfused expression; the products are formed a
+    block of rows at a time in a buffer of about ``OUTER_BLOCK`` entries.
+    ``h`` may be any writable 2-D view. ``v`` must not share memory with
+    ``h`` (pass a copy of a row of ``h``), or later blocks would read
+    entries already updated.
+    """
+    rows, cols = h.shape
+    if rows == 0 or cols == 0:
+        return
+    step = max(1, OUTER_BLOCK // cols)
+    buf = np.empty((min(step, rows), cols))
+    v = v[None, :]
+    for r0 in range(0, rows, step):
+        r1 = min(r0 + step, rows)
+        prod = np.multiply(u[r0:r1, None], v, out=buf[:r1 - r0])
+        np.subtract(h[r0:r1], prod, out=h[r0:r1])
+
+
 def update_projector(state, scaled_row, w, tol=None):
     """Apply one rank-one oblique projector update; returns a new state.
 
@@ -326,7 +354,8 @@ def update_projector(state, scaled_row, w, tol=None):
     scale = float(np.linalg.norm(y) * np.linalg.norm(w))
     if abs(den) <= threshold * (scale + 1e-300):
         raise DivisionByZero(f"update pivot w.s = {den:.3e} vanishes")
-    new_h = h - np.outer(s, wh / den)
+    new_h = h.copy()
+    subtract_outer(new_h, s, wh / den)
     return ProjectorState(h=new_h, step=state.step + 1,
                           p_cols=list(state.p_cols),
                           v_cols=list(state.v_cols),

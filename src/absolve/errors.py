@@ -135,9 +135,5 @@ class IntegerInconsistent(AbsError):
             "no integer solution exists")
 
 
-class BudgetExceeded(AbsError):
-    """Enumeration would exceed the configured work budget."""
-
-
 class UnrepresentableEntry(AbsError):
     """A generated entry left the exactly-representable float range (2**53)."""

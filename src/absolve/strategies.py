@@ -15,8 +15,8 @@ row, tolerance arithmetic).
 Besides the engine-pluggable classes this module provides two standalone
 solvers that exploit structure the generic loop cannot:
 
-* :func:`implicit_lu_solve` keeps only the nonzero block of the projector and
-  meters its auxiliary storage (peak <= n^2/4 + n entries).
+* :func:`implicit_lu_solve` works only on the nonzero block of the projector
+  and meters its auxiliary storage (peak <= n^2/4 + n entries).
 * :func:`gilu_solve` runs the deflation on a set of direction vectors without
   ever forming the projector.
 """
@@ -85,7 +85,7 @@ class ParameterStrategy:
         state.counter.add(n * n + n)
         if den_w == 0.0:
             raise DivisionByZero("projector update pivot w.H.y vanished")
-        state.h -= np.outer(s, wh / den_w)
+        core.subtract_outer(state.h, s, wh / den_w)
         state.counter.add(n * n + n)
 
 
@@ -107,7 +107,7 @@ class HuangStrategy(ParameterStrategy):
 
     def update_h(self, state, s, w, p, den):
         n = state.n
-        state.h -= np.outer(s, s / den)
+        core.subtract_outer(state.h, s, s / den)
         state.counter.add(n * n + n)
 
 
@@ -156,7 +156,7 @@ class ModifiedHuangStrategy(ParameterStrategy):
         state.counter.add(n)
         if den_p == 0.0:
             raise DivisionByZero("reprojected direction vanished")
-        state.h -= np.outer(p, p / den_p)
+        core.subtract_outer(state.h, p, p / den_p)
         state.counter.add(n * n + n)
 
 
@@ -221,7 +221,7 @@ class ImplicitLUStrategy(ParameterStrategy):
         if pivot == 0.0:
             raise DivisionByZero("projected diagonal entry vanished")
         # dividing on the s side zeroes row state.step exactly (s_k/s_k == 1)
-        state.h -= np.outer(s / pivot, state.h[state.step])
+        core.subtract_outer(state.h, s / pivot, state.h[state.step].copy())
         state.counter.add(n * n + n)
 
 
@@ -287,7 +287,7 @@ class ImplicitLXStrategy(ParameterStrategy):
         pivot = float(s[k])
         if pivot == 0.0:
             raise DivisionByZero("pivot component of the projected row is 0")
-        state.h -= np.outer(s / pivot, state.h[k])
+        core.subtract_outer(state.h, s / pivot, state.h[k].copy())
         state.counter.add(n * n + n)
 
 
@@ -454,12 +454,15 @@ def make_strategy(name, **kwargs):
 class CompactLUWorkspace:
     """Auxiliary-storage accounting of :func:`implicit_lu_solve`.
 
-    The meter counts array entries the algorithm still needs: the packed
-    nonzero block of the projector (stored column-wise), the current
-    update column, and the gathered search prefix. Inputs and outputs
-    (matrix, right-hand side, solution, returned factors) are excluded.
-    The Python arrays retain consumed cells until the run ends; a packed
-    buffer would reclaim them, and the meter accounts for that layout.
+    The meter counts the semantic entries the algorithm still needs: the
+    nonzero block of the projector, the current update column, and the
+    gathered search prefix. Inputs and outputs (matrix, right-hand side,
+    solution, returned factors) are excluded, and so is the layout of the
+    working arrays: the solver keeps the block in one n x n buffer and
+    forms each step's products in a scratch block of up to n^2/4 entries,
+    but an entry of the projector block counts only while a later step
+    can still read it. The peak is that of a layout which reclaims
+    consumed entries, at or below n^2/4 + n.
     """
 
     storage: StorageMeter
@@ -472,10 +475,17 @@ def implicit_lu_solve(a, b, tol=None, keep_factors=True, counter=None):
 
     After step i the projector has rows 0..i-1 zero and an identity in
     its trailing columns, so only an (n-i) x i block carries information.
-    The block is held column-wise and each step shrinks every column by
-    one entry in place, so peak auxiliary storage stays at or below
-    n^2/4 + n entries (reported in ``report.workspace.storage.peak``) and
-    the multiply count stays within ~10% of n^3/3.
+    The block lives in one packed buffer, ``packed[c, r]`` = projector
+    entry (row r, column c), so the live block at step i is
+    ``packed[:i, i:]`` and each step drops its first column. The
+    ``StorageMeter`` counts those live entries, not the buffer: the peak
+    stays at or below n^2/4 + n entries (reported in
+    ``report.workspace.storage.peak``) and the multiply count stays
+    within ~10% of n^3/3.
+
+    Each step makes a fixed number of numpy calls on the block, and adds
+    the column contributions to the new column in ascending column order,
+    the order of a scalar loop over the columns.
 
     Raises :class:`~absolve.errors.RegularityFailure` when a leading
     principal submatrix is singular (within tolerance).
@@ -489,15 +499,15 @@ def implicit_lu_solve(a, b, tol=None, keep_factors=True, counter=None):
     meter = StorageMeter()
 
     x = np.zeros(n)
-    cols = []  # cols[c][r] = projector entry (row i+r, column c) at step i
+    packed = np.empty((n, n))
+    # products of the step: first row row[i+1:], then column c times row[c]
+    scratch = np.empty(n * n // 4)
     p_out = []
     pivots = []
     for i in range(n):
         row = a[i]
-        heads = np.empty(i)
+        heads = packed[:i, i].copy()
         meter.alloc(i)
-        for c in range(i):
-            heads[c] = cols[c][0]
 
         # pivot: projected diagonal entry (H a_i)_i
         d = float(row[:i] @ heads) + float(row[i])
@@ -525,26 +535,30 @@ def implicit_lu_solve(a, b, tol=None, keep_factors=True, counter=None):
 
         if i < n - 1:
             # sub-diagonal projected entries, then the new column -t/d
-            t = row[i + 1:].copy()
-            meter.alloc(n - i - 1)
-            for c in range(i):
-                t += cols[c][1:] * row[c]
-                counter.add(n - i - 1)
+            w = n - i - 1
+            body = packed[:i, i + 1:]
+            prods = scratch[:(i + 1) * w].reshape(i + 1, w)
+            prods[0] = row[i + 1:]
+            np.multiply(body, row[:i, None], out=prods[1:])
+            meter.alloc(w)
+            counter.add(i * w)
+            if w > 1:
+                # row by row, in column order
+                t = np.add.reduce(prods, axis=0)
+            else:
+                # a 1-column reduce would switch to pairwise summation
+                t = np.add.accumulate(prods[:, 0])[-1:]
             t /= d
-            counter.add(n - i - 1)
+            counter.add(w)
             np.negative(t, out=t)
-            for c in range(i):
-                head = cols[c][0]
-                body = cols[c][1:]
-                body += head * t
-                counter.add(n - i - 1)
-                cols[c] = body
-                meter.free(1)
-            cols.append(t)
+            np.multiply(heads[:, None], t, out=prods[1:])
+            np.add(body, prods[1:], out=body)
+            counter.add(i * w)
+            meter.free(i)  # every column of the block drops its head
+            packed[i, i + 1:] = t
         meter.free(i)
 
-    for c in cols:
-        meter.free(len(c))
+    meter.free(max(n - 1, 0))  # the last entry of each of n - 1 columns
 
     res = float(np.linalg.norm(a @ x - b))
     counter.add(n * n + n)
@@ -613,7 +627,7 @@ def gilu_solve(a, b, h1, z=None, tol=None, counter=None):
         if i + 1 < m:
             coeff = (row @ u[:, i + 1:]) / den
             counter.add(n * (m - i - 1) + (m - i - 1))
-            u[:, i + 1:] -= np.outer(ui, coeff)
+            core.subtract_outer(u[:, i + 1:], ui, coeff)
             counter.add(n * (m - i - 1))
         p_out.append(ui.copy())
         pivots.append(den)

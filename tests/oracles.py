@@ -1,14 +1,20 @@
 """Independent reference implementations used to check the solvers.
 
-Everything here is deliberately naive and exact (Fractions, plain
-integer arithmetic, textbook iterations) so a disagreement with the
-package points at the package.
+Everything here is deliberately naive: exact (Fractions, plain integer
+arithmetic), textbook iterations, or the plain loop that a vectorised
+solver must reproduce bit for bit, so a disagreement with the package
+points at the package.
 """
 
 from fractions import Fraction
 from math import gcd
 
 import numpy as np
+
+from absolve import core
+from absolve.counting import OpCounter, StorageMeter
+from absolve.errors import RegularityFailure, UnsupportedShape
+from absolve.strategies import CompactLUWorkspace
 
 
 def fraction_eliminate(a, b=None):
@@ -195,3 +201,90 @@ def kaczmarz(a, b, x0, steps):
         x = x - ((row @ x - b[k % m]) / (row @ row)) * row
         out.append(x.copy())
     return out
+
+
+def column_loop_implicit_lu(a, b, tol=None, keep_factors=True,
+                            counter=None):
+    """Reference for :func:`absolve.strategies.implicit_lu_solve`.
+
+    The same algorithm with the nonzero projector block held as a list
+    of columns and updated one column at a time in Python, adding the
+    column contributions in ascending column order. The packed solver
+    must reproduce its iterates, factors, multiply count and storage
+    meter bit for bit.
+    """
+    a, b = core._as_system(a, b)
+    m, n = a.shape
+    if m != n:
+        raise UnsupportedShape(f"need a square system, got {m} x {n}")
+    _, _, piv_tol = (tol or core.Tolerances()).resolve(n)
+    counter = counter if counter is not None else OpCounter()
+    meter = StorageMeter()
+
+    x = np.zeros(n)
+    cols = []  # cols[c][r] = projector entry (row i+r, column c) at step i
+    p_out = []
+    pivots = []
+    for i in range(n):
+        row = a[i]
+        heads = np.empty(i)
+        meter.alloc(i)
+        for c in range(i):
+            heads[c] = cols[c][0]
+
+        # pivot: projected diagonal entry (H a_i)_i
+        d = float(row[:i] @ heads) + float(row[i])
+        counter.add(i)
+        a_norm = float(np.linalg.norm(row))
+        counter.add(n)
+        p_bound = max(1.0, float(np.abs(heads).max()) if i else 1.0) \
+            * float(np.sqrt(i + 1))
+        counter.add(1)
+        if abs(d) <= piv_tol * a_norm * p_bound:
+            raise RegularityFailure(i)
+
+        # x has support 0..i-1 before this step
+        tau = float(row[:i] @ x[:i]) - float(b[i])
+        counter.add(i)
+        alpha = tau / d
+        counter.add(1)
+        x[:i] -= alpha * heads
+        counter.add(i)
+        x[i] = -alpha
+
+        if keep_factors:
+            p_out.append(np.append(heads, 1.0))  # output, not metered
+        pivots.append(d)
+
+        if i < n - 1:
+            # sub-diagonal projected entries, then the new column -t/d
+            t = row[i + 1:].copy()
+            meter.alloc(n - i - 1)
+            for c in range(i):
+                t += cols[c][1:] * row[c]
+                counter.add(n - i - 1)
+            t /= d
+            counter.add(n - i - 1)
+            np.negative(t, out=t)
+            for c in range(i):
+                head = cols[c][0]
+                body = cols[c][1:]
+                body += head * t
+                counter.add(n - i - 1)
+                cols[c] = body
+                meter.free(1)
+            cols.append(t)
+        meter.free(i)
+
+    for c in cols:
+        meter.free(len(c))
+
+    res = float(np.linalg.norm(a @ x - b))
+    counter.add(n * n + n)
+    state = core.ProjectorState(h=np.zeros((n, n)), step=n, p_cols=p_out,
+                                v_cols=list(range(n)), pivots=pivots,
+                                matrix=a, rhs=b, counter=counter)
+    return core.SolveReport(x=x, rank=n,
+                            eq_status=[core.INDEPENDENT] * n, state=state,
+                            mult_count=counter.mults, residual_norm=res,
+                            workspace=CompactLUWorkspace(storage=meter, n=n))

@@ -115,6 +115,45 @@ def test_update_projector_annihilates_the_row():
         core.update_projector(state, row, row)
 
 
+def _subtract_outer_case(name, rng):
+    """(h, u, v) as each caller of ``subtract_outer`` passes them."""
+    if name == "contiguous":
+        return rng.standard_normal((7, 5)), rng.standard_normal(7), \
+            rng.standard_normal(5)
+    if name == "column-slice":
+        # gilu deflates u[:, i+1:] against its own column i
+        u = rng.standard_normal((9, 9))
+        return u[:, 4:], u[:, 3], rng.standard_normal(5)
+    if name == "copied-row":
+        # implicit LU passes a copy of the pivot row of h
+        h = rng.standard_normal((6, 6))
+        return h, rng.standard_normal(6), h[2].copy()
+    if name == "row-blocks":
+        rows = 3 * core.OUTER_BLOCK // 400 + 7
+        return rng.standard_normal((rows, 400)), rng.standard_normal(rows), \
+            rng.standard_normal(400)
+    # signed zeros: -0.0 - (+0.0) must stay -0.0, 0.0 - (-0.0) is +0.0
+    h = np.array([[-0.0, 0.0, -0.0], [0.0, -0.0, 1.0]])
+    return h, np.array([0.0, -0.0]), np.array([1.0, -1.0, 0.0])
+
+
+@pytest.mark.parametrize("case", ("contiguous", "column-slice",
+                                  "copied-row", "row-blocks",
+                                  "signed-zeros"))
+def test_subtract_outer_matches_the_unfused_expression(case):
+    rng = np.random.default_rng(23)
+    h, u, v = _subtract_outer_case(case, rng)
+    parent = h.base if case == "column-slice" else h
+    before = parent.copy()
+    expected = h - np.outer(u, v)
+    core.subtract_outer(h, u, v)
+    assert np.array_equal(h, expected)
+    assert np.array_equal(np.signbit(h), np.signbit(expected))
+    # columns outside the view are left alone
+    assert np.array_equal(parent[:, :parent.shape[1] - h.shape[1]],
+                          before[:, :parent.shape[1] - h.shape[1]])
+
+
 def test_implicit_factorization_reconstructs_the_inverse():
     rng = np.random.default_rng(33)
     a = rng.standard_normal((6, 6)) + 6 * np.eye(6)

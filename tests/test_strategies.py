@@ -185,6 +185,39 @@ def test_compact_lu_counts_and_storage_are_frozen():
     assert rep.workspace.storage.live == 0
 
 
+@pytest.mark.parametrize("n", (1, 2, 3, 8, 9, 10, 30, 64, 301))
+def test_packed_lu_reproduces_the_column_loop_bit_for_bit(n):
+    # n >= 9 reaches a last step whose block has one column and at
+    # least nine rows to sum
+    rng = np.random.default_rng(1000 + n)
+    scale = 10.0 ** rng.integers(-3, 4, size=(n, 1))
+    a = (rng.standard_normal((n, n)) + 2 * np.sqrt(n) * np.eye(n)) * scale
+    b = rng.standard_normal(n)
+    ref = oracles.column_loop_implicit_lu(a, b)
+    rep = strategies.implicit_lu_solve(a, b)
+    assert np.array_equal(rep.x, ref.x)
+    assert len(rep.state.p_cols) == len(ref.state.p_cols) == n
+    for p, q in zip(rep.state.p_cols, ref.state.p_cols):
+        assert np.array_equal(p, q)
+    assert np.array_equal(rep.state.pivots, ref.state.pivots)
+    assert rep.mult_count == ref.mult_count
+    assert rep.workspace.storage.peak == ref.workspace.storage.peak
+    assert rep.workspace.storage.live == ref.workspace.storage.live == 0
+
+
+def test_packed_lu_fails_on_the_same_row_as_the_column_loop():
+    rng = np.random.default_rng(1100)
+    a = rng.integers(-5, 6, size=(12, 12)).astype(float) + 20 * np.eye(12)
+    # leading 7 x 7 minor singular: row 6 repeats rows 0 + 1 there
+    a[6, :7] = a[0, :7] + a[1, :7]
+    b = rng.standard_normal(12)
+    with pytest.raises(RegularityFailure) as ref:
+        oracles.column_loop_implicit_lu(a, b)
+    with pytest.raises(RegularityFailure) as exc:
+        strategies.implicit_lu_solve(a, b)
+    assert exc.value.row == ref.value.row == 6
+
+
 def test_compact_lu_rejects_nonsquare_and_nonregular():
     with pytest.raises(UnsupportedShape):
         strategies.implicit_lu_solve(np.ones((2, 3)), np.ones(2))
