@@ -15,9 +15,11 @@ its ``environment`` record, and leaves the others as they are.
   quartiles, the pairs the change wins, and whether a gain can be
   claimed (wins in at least nine tenths of the pairs and medians further
   apart than the parent's interquartile range).
-* ``trace`` makes traced runs of one workload, in pairs that alternate
-  the checkouts, and records every run's per-layer metrics and each
-  side's medians.
+* ``trace`` makes traced runs of the ``dense-large`` workload, in pairs
+  that alternate the checkouts, and records every run's per-layer
+  metrics and each side's medians.
+
+Every run lasts ``BENCHMARK.json``'s ``run_seconds``.
 * ``kernel`` times the packed ``implicit_lu_solve``, the engine's
   ``ilu`` strategy and ``numpy.linalg.solve`` on regular systems with
   n=300 and n=600, in fresh interpreters that alternate between the
@@ -36,6 +38,9 @@ import sys
 THREAD_VARS = ("ABS_SOLVE_THREADS", "OMP_NUM_THREADS",
                "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
+
+# the workload of the traced runs
+TRACE_WORKLOAD = "dense-large"
 
 # the kernel timings: system sizes, fresh interpreters per checkout, timed
 # repeats per solver after one warm-up call
@@ -154,13 +159,13 @@ def cmd_pairs(args, sides, spec):
             pair = {"seed": args.seed + k, "first": order[0][0]}
             for label, checkout in order:
                 pair[label] = run_bench(checkout, workload, args.seed + k,
-                                        args.seconds, 0)
+                                        spec["run_seconds"], 0)
             pairs.append(pair)
             print(f"pair {k} {workload}: " + json.dumps(
                 {s: pair[s]["metrics"] for s in ("parent", "change")}),
                 flush=True)
     update(args.out, "end_to_end", {
-        "run_seconds": args.seconds, "pairs": args.pairs,
+        "run_seconds": spec["run_seconds"], "pairs": args.pairs,
         "summary": summarize(spec, runs), "runs": runs})
 
 
@@ -168,13 +173,13 @@ def cmd_trace(args, sides, spec):
     runs = {label: [] for label, _ in sides}
     for k in range(args.pairs):
         for label, checkout in (sides if k % 2 == 0 else sides[::-1]):
-            runs[label].append(run_bench(checkout, args.workload,
-                                         args.seed + k, args.seconds,
+            runs[label].append(run_bench(checkout, TRACE_WORKLOAD,
+                                         args.seed + k, spec["run_seconds"],
                                          1)["metrics"])
     median = {label: {name: statistics.median(r[name] for r in rs)
                       for name in rs[0]}
               for label, rs in runs.items()}
-    update(args.out, "trace", {"workload": args.workload,
+    update(args.out, "trace", {"workload": TRACE_WORKLOAD,
                                "pairs": args.pairs, "median": median,
                                "runs": runs})
 
@@ -212,17 +217,12 @@ def main(argv=None):
     parser.add_argument("--out", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=601)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: BENCHMARK.json's)")
-    parser.add_argument("--workload", default="dense-large",
-                        help="workload of the traced runs")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("quartiles need at least two pairs")
     with open(os.path.join(args.parent, "BENCHMARK.json"),
               encoding="utf-8") as fh:
         spec = json.load(fh)
-    args.seconds = args.seconds or spec["run_seconds"]
     sides = [("parent", args.parent), ("change", args.change)]
     {"pairs": cmd_pairs, "trace": cmd_trace,
      "kernel": cmd_kernel}[args.command](args, sides, spec)
