@@ -27,9 +27,9 @@ from .core import (SolveReport, general_solution, implicit_factorization,
                    update_projector)
 from .counting import OpCounter, StorageMeter
 from .diophantine import bezout_gcd, solutions_in_box
-from .errors import (AbsError, Breakdown, IncompatibleSystem,
-                     IntegerInconsistent, MaxIterReached, SingularKT,
-                     Stagnation, StrategyBreakdown)
+from .errors import (AbsError, IncompatibleSystem, IntegerInconsistent,
+                     MaxIterReached, SingularKT, Stagnation,
+                     StrategyBreakdown)
 from .iterative import (IterParams, angle_contraction_check,
                         limited_memory_solve, recursive_solve)
 from .kt import KTSolver, KTSystem
@@ -44,7 +44,7 @@ __all__ = [
     "SolveReport", "general_solution", "implicit_factorization",
     "reconstruct_inverse", "solve", "strongly_nonsingular",
     "update_projector", "OpCounter", "StorageMeter", "bezout_gcd",
-    "solutions_in_box", "AbsError", "Breakdown", "IncompatibleSystem",
+    "solutions_in_box", "AbsError", "IncompatibleSystem",
     "IntegerInconsistent", "MaxIterReached", "SingularKT", "Stagnation",
     "StrategyBreakdown", "IterParams", "angle_contraction_check",
     "limited_memory_solve", "recursive_solve", "KTSolver", "KTSystem",

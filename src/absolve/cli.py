@@ -17,8 +17,7 @@ import argparse
 import sys
 
 from . import matfile, problems
-from .errors import (AbsError, Breakdown, Incompatible, IncompatibleSystem,
-                     IntegerInconsistent)
+from .errors import AbsError, IncompatibleSystem, IntegerInconsistent
 
 EXIT_OK = 0
 EXIT_INCOMPATIBLE = 1
@@ -125,12 +124,9 @@ def cmd_solve(args):
         return _fail(f"equation {exc.row}: integerly inconsistent "
                      f"(gcd {exc.delta} does not divide residual {exc.tau})",
                      EXIT_INCOMPATIBLE)
-    except (IncompatibleSystem, Incompatible) as exc:
-        row = getattr(exc, "row", getattr(exc, "k", None))
-        return _fail(f"equation {row}: incompatible system ({exc})",
+    except IncompatibleSystem as exc:
+        return _fail(f"equation {exc.row}: incompatible system ({exc})",
                      EXIT_INCOMPATIBLE)
-    except Breakdown as exc:
-        return _fail(f"equation {exc.k}: breakdown ({exc})", EXIT_BREAKDOWN)
     except AbsError as exc:
         row = getattr(exc, "row", None)
         where = f"equation {row}: " if row is not None else ""

@@ -15,7 +15,8 @@ class IncompatibleSystem(AbsError):
     """A scaled equation is linearly dependent but has a nonzero residual.
 
     ``row`` is the 0-based index of the offending equation; ``report`` holds
-    the partial solve report (iterates up to the failure, ``x`` absent).
+    the partial solve report (iterates up to the failure, ``x`` absent), or
+    None from :func:`absolve.matrixeq.solve`, which keeps no partial report.
     """
 
     def __init__(self, row, report=None, detail=""):
@@ -28,7 +29,11 @@ class IncompatibleSystem(AbsError):
 
 
 class StrategyBreakdown(AbsError):
-    """The supplied direction seed z has z.s = 0, so no pivot exists."""
+    """The search direction of equation ``row`` gives a vanishing pivot.
+
+    Raised by the engine (the supplied direction seed z has z.s = 0), by
+    the direction-deflation solvers and by :func:`absolve.matrixeq.solve`.
+    """
 
     def __init__(self, row, detail=""):
         self.row = row
@@ -96,26 +101,6 @@ class MaxIterReached(AbsError):
         self.max_iter = max_iter
         self.trace = trace
         super().__init__(f"no convergence within {max_iter} iterations")
-
-
-class Incompatible(AbsError):
-    """Matrix-space equation k is contradictory (trace-inner-product form)."""
-
-    def __init__(self, k, report=None):
-        self.k = k
-        self.report = report
-        super().__init__(f"matrix equation {k} is incompatible")
-
-
-class Breakdown(AbsError):
-    """Matrix-space or recursive pivot vanished at equation k."""
-
-    def __init__(self, k, detail=""):
-        self.k = k
-        msg = f"pivot vanished at equation {k}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
 
 
 class IntegerInconsistent(AbsError):

@@ -3,11 +3,13 @@
 Two formulations of the projection process live here, both working on
 direction vectors instead of a projector matrix:
 
-* :func:`recursive_solve` orthogonalizes each new direction against every
-  previous one (the full recursion). It reproduces the engine of
-  :mod:`absolve.core` step for step when the engine's update seed equals
-  its direction seed, while storing the directions instead of the n x n
-  projector.
+* :func:`recursive_solve` deflates each direction against every
+  previous equation (the full recursion). It runs the right-looking loop
+  of :func:`absolve.strategies.gilu_solve` on the scaled rows: after each
+  step the seeds of all later equations are deflated at once, and every
+  multiply is counted. It reproduces the engine of :mod:`absolve.core`
+  step for step when the engine's update seed equals its direction seed,
+  while storing the directions instead of the n x n projector.
 * :func:`limited_memory_solve` keeps only a sliding window of directions
   and iterates until the residual converges. The window length m names
   the family: each step orthogonalizes against the last m - 1 accepted
@@ -41,8 +43,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import core
-from .errors import Breakdown, MaxIterReached, Stagnation
+from . import core, strategies
+from .counting import OpCounter
+from .errors import MaxIterReached, Stagnation
 
 SCALINGS = ("identity", "normal", "energy")
 SEEDS = ("gradient", "cyclic")
@@ -133,59 +136,58 @@ def recursive_solve(a, b, x1=None, v=None, z=None, h1=None, tol=None,
                     keep_iterates=False):
     """Single sweep with full direction recursion.
 
-    Orthogonalizes the direction of each equation against all previous
-    directions in the scaled pairing and takes one projection step per
-    equation. ``v`` and ``z`` supply scaling and seed columns (defaults:
-    unit scalings, row seeds); ``h1`` replaces the identity start of the
-    direction seeds. Raises :class:`~absolve.errors.Breakdown` on a
-    vanishing pivot. The produced iterates match the core engine run
-    with the same parameters and coupled update seeds.
+    Takes one projection step per equation along a direction that has
+    been deflated against every earlier equation in the scaled pairing.
+    ``v`` and ``z`` supply scaling and seed columns (defaults: unit
+    scalings and the rows of A as seeds, also when ``v`` is given);
+    ``h1`` replaces the identity start of the direction seeds. The
+    produced iterates match the core engine run with the same
+    parameters and update seeds equal to the direction seeds.
+
+    The sweep is the right-looking loop of
+    :func:`absolve.strategies.gilu_solve` run on the scaled rows
+    ``V^T A`` and the scaled right-hand side ``V^T b``: after each step
+    the remaining seed columns are deflated against the processed
+    equation. ``mult_count`` is exact: the loop's count, the m n^2
+    setup product ``h1^T Z`` when ``h1`` is given, m^2 (n + 1) for
+    ``V^T A`` and ``V^T b`` when ``v`` is given, and m n + m for the
+    final residual. Raises :class:`~absolve.errors.StrategyBreakdown`
+    on a vanishing pivot.
     """
     a, b = core._as_system(a, b)
     m, n = a.shape
-    dep_tol, _, piv_tol = (tol or core.Tolerances()).resolve(n)
-    v = None if v is None else np.asarray(v, dtype=float)
-    z = None if z is None else np.asarray(z, dtype=float)
-    h1 = None if h1 is None else np.asarray(h1, dtype=float)
+    _, _, piv_tol = (tol or core.Tolerances()).resolve(n)
+    counter = OpCounter()
+
+    seeds = a.T if z is None else np.asarray(z, dtype=float)
+    if h1 is None:
+        u = seeds.copy()
+    else:
+        u = np.asarray(h1, dtype=float).T @ seeds
+        counter.add(m * n * n)
+    if v is None:
+        y, c = a, b
+    else:
+        v = np.asarray(v, dtype=float)
+        y = v.T @ a
+        c = v.T @ b
+        counter.add(m * m * n + m * m)
 
     x = np.zeros(n) if x1 is None else np.array(x1, dtype=float)
     iterates = [x.copy()] if keep_iterates else None
-    dirs = []     # accepted directions p_j
-    scaled = []   # cached scaled rows y_j = A^T v_j
-    pivots = []
-    for k in range(m):
-        vk = v[:, k] if v is not None else None
-        if vk is None:
-            y = a[k]
-            tau = float(y @ x - b[k])
-        else:
-            y = a.T @ vk
-            tau = float(vk @ (a @ x - b))
-        zk = z[:, k] if z is not None else a[k]
-        p = zk.copy() if h1 is None else h1.T @ zk
-        p_start = float(np.linalg.norm(p))
-        for pj, yj, dj in zip(dirs, scaled, pivots):
-            p -= (float(yj @ p) / dj) * pj
-        den = float(y @ p)
-        scale = float(np.linalg.norm(y)) * float(np.linalg.norm(p))
-        if abs(den) <= piv_tol * (scale + 1e-300):
-            raise Breakdown(k, detail=f"pivot {den:.3e} vanishes "
-                                      f"(|p| fell from {p_start:.3e})")
-        x -= (tau / den) * p
-        dirs.append(p)
-        scaled.append(y)
-        pivots.append(den)
-        if keep_iterates:
-            iterates.append(x.copy())
+    dirs, pivots = strategies._deflate_directions(y, c, u, x, piv_tol,
+                                                  counter, iterates)
 
     res = float(np.linalg.norm(a @ x - b))
+    counter.add(m * n + m)
     state = core.ProjectorState(h=None, step=m, p_cols=dirs,
                                 v_cols=list(range(m)) if v is None
                                 else [v[:, k] for k in range(m)],
-                                pivots=pivots, matrix=a, rhs=b)
+                                pivots=pivots, matrix=a, rhs=b,
+                                counter=counter)
     return core.SolveReport(x=x, rank=m, eq_status=[core.INDEPENDENT] * m,
-                            state=state, mult_count=0, residual_norm=res,
-                            iterates=iterates)
+                            state=state, mult_count=counter.mults,
+                            residual_norm=res, iterates=iterates)
 
 
 def _seed(scaling, seed, k, a, r):

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import core
 from .counting import OpCounter
-from .errors import Breakdown, Incompatible
+from .errors import IncompatibleSystem, StrategyBreakdown
 
 INDEPENDENT = core.INDEPENDENT
 REDUNDANT = core.REDUNDANT
@@ -115,8 +115,9 @@ def solve(system, tol=None, keep_iterates=False, counter=None):
     Parameters mirror the vector engine with its norm-minimizing
     defaults (seeds equal the equation matrices, identity start), so a
     zero start returns the least-Frobenius-norm solution. Raises
-    :class:`~absolve.errors.Incompatible` on a contradictory equation
-    and :class:`~absolve.errors.Breakdown` on a vanishing pivot.
+    :class:`~absolve.errors.IncompatibleSystem` on a contradictory
+    equation and :class:`~absolve.errors.StrategyBreakdown` on a vanishing
+    pivot.
     """
     n = system.n
     m = system.m
@@ -164,7 +165,7 @@ def solve(system, tol=None, keep_iterates=False, counter=None):
                     iterates.append(x.copy())
                 continue
             eq_status.append(core.INCOMPATIBLE)
-            raise Incompatible(k)
+            raise IncompatibleSystem(k)
         counter.add(nn)
 
         p = s  # seed Z_k = A_k through the running operator
@@ -173,7 +174,7 @@ def solve(system, tol=None, keep_iterates=False, counter=None):
         p_norm = float(np.linalg.norm(p))
         counter.add(nn)
         if abs(den) <= piv_tol * a_norm * p_norm:
-            raise Breakdown(k, detail=f"pivot {den:.3e}")
+            raise StrategyBreakdown(k, detail=f"pivot {den:.3e}")
         alpha = tau / den
         counter.add(1)
         x -= alpha * p
@@ -213,8 +214,8 @@ def quasi_newton_solve(delta, r, constraints=(), tol=None):
     norm-minimizing defaults. ``constraints`` entries are either the
     string ``"symmetry"`` (expands to all off-diagonal antisymmetry
     pairs) or ``("fix", row, col, value)`` pinning one entry. Raises
-    :class:`~absolve.errors.Incompatible` when a constraint contradicts
-    the secant equations.
+    :class:`~absolve.errors.IncompatibleSystem` when a constraint
+    contradicts the secant equations.
     """
     delta = np.asarray(delta, dtype=float)
     r = np.asarray(r, dtype=float)

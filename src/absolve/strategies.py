@@ -18,7 +18,8 @@ solvers that exploit structure the generic loop cannot:
 * :func:`implicit_lu_solve` works only on the nonzero block of the projector
   and meters its auxiliary storage (peak <= n^2/4 + n entries).
 * :func:`gilu_solve` runs the deflation on a set of direction vectors without
-  ever forming the projector.
+  ever forming the projector; :func:`absolve.iterative.recursive_solve`
+  runs the same loop on scaled rows.
 """
 
 from dataclasses import dataclass
@@ -40,7 +41,6 @@ class ParameterStrategy:
     orthogonal scalings on least-squares runs).
     """
 
-    kind = "base"
     resolves_inconsistency = False
 
     def initial_h(self, n):
@@ -94,12 +94,10 @@ class HuangStrategy(ParameterStrategy):
 
     Search vectors are mutually orthogonal and, from a zero start, every
     iterate is the least-norm solution of the equations processed so far.
+    Among all admissible parameter choices this one minimizes the
+    worst-case amplification of a perturbation of one iterate into the
+    final solution; the registry also offers it as ``stable``.
     """
-
-    kind = "huang"
-
-    def direction_seed(self, i, state, s):
-        return state.matrix[i]
 
     def search_vector(self, i, state, s, z):
         # p = H^T a_i = H a_i = s up to symmetric round-off
@@ -111,17 +109,6 @@ class HuangStrategy(ParameterStrategy):
         state.counter.add(n * n + n)
 
 
-class OptimallyStableStrategy(HuangStrategy):
-    """Huang parameter choice tagged as the error-stable variant.
-
-    Among all admissible policies this choice minimizes the worst-case
-    amplification of a perturbation of one iterate into the final solution,
-    so it is the preferred default when inputs carry noise.
-    """
-
-    kind = "stable"
-
-
 class ModifiedHuangStrategy(ParameterStrategy):
     """Reprojected Huang update for sharper rank decisions.
 
@@ -131,8 +118,6 @@ class ModifiedHuangStrategy(ParameterStrategy):
     to round-off level, which makes the rank count reliable on nearly
     dependent rows.
     """
-
-    kind = "mhuang"
 
     def begin(self, a):
         self._cache = {}
@@ -185,72 +170,6 @@ def modified_huang_direction(state, row, tol=None):
     return p
 
 
-class ImplicitLUStrategy(ParameterStrategy):
-    """Unit scalings and unit seeds; pivots are the projected diagonal.
-
-    Requires every leading principal submatrix of the processed rows to be
-    nonsingular (:class:`~absolve.errors.RegularityFailure` otherwise) and
-    m <= n. The projector keeps rows 0..i-1 zero, so search vectors come
-    out of it for free; see :func:`implicit_lu_solve` for the variant that
-    also exploits the sparsity for storage.
-    """
-
-    kind = "ilu"
-
-    def begin(self, a):
-        m, n = a.shape
-        if m > n:
-            raise UnsupportedShape(
-                f"implicit LU needs m <= n, got {m} rows, {n} columns")
-
-    def direction_seed(self, i, state, s):
-        e = np.zeros(state.n)
-        e[i] = 1.0
-        return e
-
-    def search_vector(self, i, state, s, z):
-        return state.h[i].copy()
-
-    def validate_pivot(self, i, den, scale, piv_tol):
-        if abs(den) <= piv_tol * scale:
-            raise RegularityFailure(i)
-
-    def update_h(self, state, s, w, p, den):
-        n = state.n
-        pivot = float(s[state.step])
-        if pivot == 0.0:
-            raise DivisionByZero("projected diagonal entry vanished")
-        # dividing on the s side zeroes row state.step exactly (s_k/s_k == 1)
-        core.subtract_outer(state.h, s / pivot, state.h[state.step].copy())
-        state.counter.add(n * n + n)
-
-
-class GiluStrategy(ImplicitLUStrategy):
-    """Implicit LU deflation started from a caller-supplied projector.
-
-    The initial projector must be nonsingular; pivot failures mean the
-    interaction matrix of the chosen projector with the system rows has a
-    singular leading block, reported as the engine's generic breakdown.
-    """
-
-    kind = "gilu"
-
-    def __init__(self, h1):
-        self.h1 = np.array(h1, dtype=float)
-        if self.h1.ndim != 2 or self.h1.shape[0] != self.h1.shape[1]:
-            raise ValueError("initial projector must be square")
-
-    def initial_h(self, n):
-        if self.h1.shape != (n, n):
-            raise ValueError(
-                f"initial projector is {self.h1.shape}, system needs "
-                f"({n}, {n})")
-        return self.h1.copy()
-
-    def validate_pivot(self, i, den, scale, piv_tol):
-        pass  # generic breakdown check applies
-
-
 class ImplicitLXStrategy(ParameterStrategy):
     """Unit scalings with a column-pivoted unit seed.
 
@@ -260,8 +179,6 @@ class ImplicitLXStrategy(ParameterStrategy):
     are exactly zero in later projected rows, so each index is picked at
     most once.
     """
-
-    kind = "ilx"
 
     def begin(self, a):
         self._used = set()
@@ -287,11 +204,82 @@ class ImplicitLXStrategy(ParameterStrategy):
         pivot = float(s[k])
         if pivot == 0.0:
             raise DivisionByZero("pivot component of the projected row is 0")
+        # dividing on the s side zeroes row k exactly (s_k/s_k == 1)
         core.subtract_outer(state.h, s / pivot, state.h[k].copy())
         state.counter.add(n * n + n)
 
 
-class ImplicitQRStrategy(ParameterStrategy):
+class ImplicitLUStrategy(ImplicitLXStrategy):
+    """Implicit LX with the index fixed to the equation's own: unit seeds
+    e_i, pivots on the projected diagonal.
+
+    Requires every leading principal submatrix of the processed rows to be
+    nonsingular (:class:`~absolve.errors.RegularityFailure` otherwise) and
+    m <= n. The projector keeps rows 0..i-1 zero, so search vectors come
+    out of it for free; see :func:`implicit_lu_solve` for the variant that
+    also exploits the sparsity for storage.
+    """
+
+    def begin(self, a):
+        m, n = a.shape
+        if m > n:
+            raise UnsupportedShape(
+                f"implicit LU needs m <= n, got {m} rows, {n} columns")
+
+    def direction_seed(self, i, state, s):
+        self._k = i
+        e = np.zeros(state.n)
+        e[i] = 1.0
+        return e
+
+    def validate_pivot(self, i, den, scale, piv_tol):
+        if abs(den) <= piv_tol * scale:
+            raise RegularityFailure(i)
+
+
+class GiluStrategy(ImplicitLUStrategy):
+    """Implicit LU deflation started from a caller-supplied projector.
+
+    The initial projector must be nonsingular; pivot failures mean the
+    interaction matrix of the chosen projector with the system rows has a
+    singular leading block, reported as the engine's generic breakdown.
+    """
+
+    def __init__(self, h1):
+        self.h1 = np.array(h1, dtype=float)
+        if self.h1.ndim != 2 or self.h1.shape[0] != self.h1.shape[1]:
+            raise ValueError("initial projector must be square")
+
+    def initial_h(self, n):
+        if self.h1.shape != (n, n):
+            raise ValueError(
+                f"initial projector is {self.h1.shape}, system needs "
+                f"({n}, {n})")
+        return self.h1.copy()
+
+    def validate_pivot(self, i, den, scale, piv_tol):
+        pass  # generic breakdown check applies
+
+
+class _CachedSearchStrategy(ParameterStrategy):
+    """Hooks shared by strategies whose ``scaling`` caches, per equation,
+    the search vector H^T a_i and the row norm |a_i|: the dependency test
+    and the step both use the cached vector.
+    """
+
+    def begin(self, a):
+        self._cache = {}
+
+    def classify_vector(self, i, state, s, y_norm, h_norm):
+        pt, a_norm = self._cache[i]
+        return pt, a_norm * h_norm
+
+    def search_vector(self, i, state, s, z):
+        pt, _ = self._cache.pop(i)
+        return pt
+
+
+class ImplicitQRStrategy(_CachedSearchStrategy):
     """Orthogonal scalings: v_i = A H^T a_i.
 
     Scaled rows are orthogonal in the column space of A, the residual norm
@@ -301,11 +289,7 @@ class ImplicitQRStrategy(ParameterStrategy):
     their raw residuals stay nonzero.
     """
 
-    kind = "iqr"
     resolves_inconsistency = True
-
-    def begin(self, a):
-        self._cache = {}
 
     def scaling(self, i, state):
         a = state.matrix
@@ -318,19 +302,8 @@ class ImplicitQRStrategy(ParameterStrategy):
         self._cache[i] = (pt, a_norm)
         return v
 
-    def classify_vector(self, i, state, s, y_norm, h_norm):
-        pt, a_norm = self._cache[i]
-        return pt, a_norm * h_norm
 
-    def direction_seed(self, i, state, s):
-        return state.matrix[i]
-
-    def search_vector(self, i, state, s, z):
-        pt, _ = self._cache.pop(i)
-        return pt
-
-
-class ConjugateDirectionStrategy(ParameterStrategy):
+class ConjugateDirectionStrategy(_CachedSearchStrategy):
     """Search vectors conjugate in the (symmetric positive definite) matrix.
 
     Scalings equal the search vectors, so pivots are energy norms and must
@@ -338,8 +311,6 @@ class ConjugateDirectionStrategy(ParameterStrategy):
     :class:`~absolve.errors.UnsupportedShape`. The error decreases
     monotonically in the energy norm.
     """
-
-    kind = "cgdir"
 
     def begin(self, a):
         m, n = a.shape
@@ -349,7 +320,7 @@ class ConjugateDirectionStrategy(ParameterStrategy):
         if skew > 1e-10 * (1.0 + float(np.abs(a).max())):
             raise UnsupportedShape(
                 f"matrix is not symmetric (max asymmetry {skew:.3e})")
-        self._cache = {}
+        super().begin(a)
 
     def scaling(self, i, state):
         row = state.matrix[i]
@@ -358,17 +329,6 @@ class ConjugateDirectionStrategy(ParameterStrategy):
         state.counter.add(n * n)
         self._cache[i] = (pt, float(np.linalg.norm(row)))
         state.counter.add(n)
-        return pt
-
-    def classify_vector(self, i, state, s, y_norm, h_norm):
-        pt, a_norm = self._cache[i]
-        return pt, a_norm * h_norm
-
-    def direction_seed(self, i, state, s):
-        return state.matrix[i]
-
-    def search_vector(self, i, state, s, z):
-        pt, _ = self._cache.pop(i)
         return pt
 
     def validate_pivot(self, i, den, scale, piv_tol):
@@ -387,8 +347,6 @@ class GeneralStrategy(ParameterStrategy):
     full choice can be checked up front with
     :func:`absolve.core.strongly_nonsingular` on V^T A H1^T W.
     """
-
-    kind = "general"
 
     def __init__(self, v=None, z=None, w=None, h1=None):
         self.v = None if v is None else np.asarray(v, dtype=float)
@@ -426,7 +384,7 @@ class GeneralStrategy(ParameterStrategy):
 
 _REGISTRY = {
     "huang": HuangStrategy,
-    "stable": OptimallyStableStrategy,
+    "stable": HuangStrategy,
     "mhuang": ModifiedHuangStrategy,
     "ilu": ImplicitLUStrategy,
     "ilx": ImplicitLXStrategy,
@@ -439,7 +397,8 @@ _REGISTRY = {
 def make_strategy(name, **kwargs):
     """Instantiate a strategy by its short name.
 
-    Names: huang, stable, mhuang, ilu, ilx, iqr, cgdir, gilu. ``gilu``
+    Names: huang, stable, mhuang, ilu, ilx, iqr, cgdir, gilu. ``stable``
+    is an alias of ``huang``, the optimally stable choice. ``gilu``
     requires the initial projector as ``h1=...``.
     """
     key = name.lower().strip()
@@ -608,10 +567,36 @@ def gilu_solve(a, b, h1, z=None, tol=None, counter=None):
         counter.add(m * n * n)
 
     x = np.zeros(n)
+    p_out, pivots = _deflate_directions(a, b, u, x, piv_tol, counter)
+
+    res = float(np.linalg.norm(a @ x - b))
+    counter.add(m * n + m)
+    state = core.ProjectorState(h=None, step=m, p_cols=p_out,
+                                v_cols=list(range(m)), pivots=pivots,
+                                matrix=a, rhs=b, counter=counter)
+    return core.SolveReport(x=x, rank=m,
+                            eq_status=[core.INDEPENDENT] * m, state=state,
+                            mult_count=counter.mults, residual_norm=res)
+
+
+def _deflate_directions(y, c, u, x, piv_tol, counter, iterates=None):
+    """Right-looking direction deflation shared by :func:`gilu_solve` and
+    :func:`absolve.iterative.recursive_solve`.
+
+    ``y`` holds the scaled rows, ``c`` the scaled right-hand side, the
+    columns of ``u`` (n x m, overwritten) the seeds and ``x`` the start,
+    updated in place. Step i takes column i of ``u`` as its direction,
+    steps along it, and deflates the trailing columns against the scaled
+    row ``y[i]``, so each surviving column is the search vector of the
+    engine run whose update seed equals its direction seed. Appends each
+    iterate to ``iterates`` when given; returns the directions and the
+    pivots ``y[i] . u_i``.
+    """
+    m, n = y.shape
     p_out = []
     pivots = []
     for i in range(m):
-        row = a[i]
+        row = y[i]
         ui = u[:, i]
         den = float(row @ ui)
         counter.add(n)
@@ -621,7 +606,7 @@ def gilu_solve(a, b, h1, z=None, tol=None, counter=None):
         if abs(den) <= piv_tol * row_norm * ui_norm:
             raise StrategyBreakdown(
                 i, detail=f"direction pivot {den:.3e} vanishes")
-        tau = float(row @ x) - float(b[i])
+        tau = float(row @ x) - float(c[i])
         counter.add(n)
         alpha = tau / den
         counter.add(1)
@@ -634,12 +619,6 @@ def gilu_solve(a, b, h1, z=None, tol=None, counter=None):
             counter.add(n * (m - i - 1))
         p_out.append(ui.copy())
         pivots.append(den)
-
-    res = float(np.linalg.norm(a @ x - b))
-    counter.add(m * n + m)
-    state = core.ProjectorState(h=None, step=m, p_cols=p_out,
-                                v_cols=list(range(m)), pivots=pivots,
-                                matrix=a, rhs=b, counter=counter)
-    return core.SolveReport(x=x, rank=m,
-                            eq_status=[core.INDEPENDENT] * m, state=state,
-                            mult_count=counter.mults, residual_norm=res)
+        if iterates is not None:
+            iterates.append(x.copy())
+    return p_out, pivots

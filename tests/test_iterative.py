@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from absolve import iterative
-from absolve.errors import Breakdown, MaxIterReached, Stagnation
+from absolve import core, iterative, strategies
+from absolve.errors import MaxIterReached, Stagnation, StrategyBreakdown
 
 import oracles
 
@@ -27,8 +27,50 @@ def test_recursive_solve_matches_direct():
 
 def test_recursive_solve_breaks_on_singular():
     a = np.array([[1.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(Breakdown):
+    with pytest.raises(StrategyBreakdown):
         iterative.recursive_solve(a, np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("n", (1, 9, 30))
+def test_recursive_solve_with_unit_seeds_is_gilu_solve_bit_for_bit(n):
+    rng = np.random.default_rng(200 + n)
+    a = rng.standard_normal((n, n)) + n * np.eye(n)
+    b = rng.standard_normal(n)
+    rec = iterative.recursive_solve(a, b, z=np.eye(n))
+    gilu = strategies.gilu_solve(a, b, np.eye(n))
+    assert np.array_equal(rec.x, gilu.x)
+    for p, q in zip(rec.state.p_cols, gilu.state.p_cols, strict=True):
+        assert np.array_equal(p, q)
+    assert np.array_equal(rec.state.pivots, gilu.state.pivots)
+    assert rec.mult_count == gilu.mult_count
+
+
+@pytest.mark.parametrize("given", (("v",), ("z",), ("h1",), ("x1",),
+                                   ("v", "z", "h1", "x1")))
+def test_recursive_solve_matches_the_engine_iterate_by_iterate(given):
+    n = 8
+    rng = np.random.default_rng(210)
+    a = rng.standard_normal((n, n)) + n * np.eye(n)
+    b = rng.standard_normal(n)
+    params = {"v": rng.standard_normal((n, n)) + n * np.eye(n),
+              "z": rng.standard_normal((n, n)) + n * np.eye(n),
+              "h1": rng.standard_normal((n, n)) + n * np.eye(n),
+              "x1": rng.standard_normal(n)}
+    kw = {k: params[k] for k in given}
+    rec = iterative.recursive_solve(a, b, keep_iterates=True, **kw)
+    # the recursion seeds on the rows of A unless z is given
+    z = kw.get("z", a.T)
+    general = strategies.GeneralStrategy(v=kw.get("v"), z=z, w=z,
+                                         h1=kw.get("h1"))
+    eng = core.solve(a, b, strategy=general, x1=kw.get("x1"),
+                     keep_iterates=True)
+    assert len(rec.iterates) == len(eng.iterates) == n + 1
+    for got, want in zip(rec.iterates, eng.iterates):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    # exact count: the unit-seed loop plus the setup products
+    loop = iterative.recursive_solve(a, b, z=np.eye(n)).mult_count
+    setup = n ** 3 * ("h1" in kw) + n * n * (n + 1) * ("v" in kw)
+    assert rec.mult_count == loop + setup
 
 
 def test_params_validation():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from absolve import core, matrixeq
-from absolve.errors import Incompatible
+from absolve.errors import IncompatibleSystem
 
 
 def test_trace_dot_is_the_frobenius_inner_product():
@@ -38,7 +38,7 @@ def test_iterates_equal_the_flattened_core_run(seed, n, m):
     system = matrixeq.MatrixSystem(terms, rhs)
     try:
         mat_rep = matrixeq.solve(system, keep_iterates=True)
-    except Incompatible:
+    except IncompatibleSystem:
         return
     core_rep = core.solve(flat_a, rhs, strategy="huang", keep_iterates=True)
     assert mat_rep.eq_status == core_rep.eq_status
@@ -50,9 +50,9 @@ def test_iterates_equal_the_flattened_core_run(seed, n, m):
 def test_incompatible_matrix_equation():
     terms = [np.eye(2), 2.0 * np.eye(2)]
     rhs = np.array([1.0, 3.0])
-    with pytest.raises(Incompatible) as exc:
+    with pytest.raises(IncompatibleSystem) as exc:
         matrixeq.solve(matrixeq.MatrixSystem(terms, rhs))
-    assert exc.value.k == 1
+    assert exc.value.row == 1
 
 
 def test_redundant_matrix_equation():

@@ -185,6 +185,16 @@ def test_compact_lu_counts_and_storage_are_frozen():
     assert rep.workspace.storage.live == 0
 
 
+def test_gilu_count_is_frozen():
+    # n = 20 reference value pins the counting rule: 5n + 1 per step,
+    # (2n + 1)(n - 1 - i) for the deflation after step i, n^2 + n residual
+    rng = np.random.default_rng(90)
+    a = rng.standard_normal((20, 20)) + 20 * np.eye(20)
+    b = rng.standard_normal(20)
+    rep = strategies.gilu_solve(a, b, np.eye(20))
+    assert rep.mult_count == 10230
+
+
 @pytest.mark.parametrize("n", (1, 2, 3, 8, 9, 10, 30, 64, 301))
 def test_packed_lu_reproduces_the_column_loop_bit_for_bit(n):
     # n >= 9 reaches a last step whose block has one column and at
