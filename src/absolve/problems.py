@@ -23,6 +23,16 @@ Families:
 ``kind`` selects the shape contract: determined / overdetermined /
 underdetermined linear systems, assembled saddle-point systems (``kt``),
 or integer systems for the exact solver (``diophantine``).
+
+The integers stay in numpy arrays until the end. Integer products (the
+rank-deficient factors, the KT block ``B B^T``, every ``b = A x``) run
+on BLAS in float64 whenever ``inner * max|a| * max|b| <= 2^53``: every
+product and every partial sum is then an integer of magnitude at most
+2^53, which float64 holds exactly, so no rounding can happen in any
+summation order, with fused multiply-adds or on any number of threads.
+When the bound fails (``twopower-illcond`` from n=46 at the default
+``entry_bound``, large ``entry_bound``) the product is taken in Python
+ints. Draws come in blocks of the same stream (:meth:`Lcg64.randints`).
 """
 
 import time
@@ -35,6 +45,11 @@ from . import core, diophantine, iterative, kt, strategies
 from .errors import UnrepresentableEntry
 
 EXACT_LIMIT = 2 ** 53
+
+# entries of ``a`` per float64 block of :func:`_matmul_int` (64 KiB):
+# with 32K-entry blocks the bench-suite benchmark's peak RSS read 0.5 MB
+# higher
+_PRODUCT_BLOCK = 8192
 
 KINDS = ("determined", "overdetermined", "underdetermined", "kt",
          "diophantine")
@@ -59,6 +74,14 @@ class Lcg64:
     INC = 1442695040888963407
     MASK = (1 << 64) - 1
 
+    # jump-ahead over one block of states, the largest table kept:
+    # s_k = MULT^k s_0 + INC * sum_{j<k} MULT^j (mod 2^64), k = 1.._BLOCK;
+    # uint64 products and sums wrap mod 2^64
+    _BLOCK = 4096
+    _POWERS = np.cumprod(np.full(_BLOCK, MULT, dtype=np.uint64))
+    _OFFSETS = np.uint64(INC) * np.cumsum(
+        np.concatenate(([np.uint64(1)], _POWERS[:-1])))
+
     def __init__(self, seed):
         self.state = (int(seed) * self.MULT + self.INC) & self.MASK
 
@@ -81,6 +104,36 @@ class Lcg64:
             v = self.next_u64() // chunk
             if v < span:
                 return lo + v
+
+    def randints(self, lo, hi, count):
+        """``count`` draws of :meth:`randint` as one array.
+
+        Equal to ``[self.randint(lo, hi) for _ in range(count)]``,
+        rejections included, and leaves the same ``state``. The values
+        are int64 when [lo, hi] fits int64, else Python ints in an
+        object array.
+        """
+        span = hi - lo + 1
+        if span <= 0:
+            raise ValueError("empty range")
+        chunk = (1 << 64) // span
+        if not 1 <= chunk <= self.MASK:
+            # a one-value range, or one wider than the generator
+            return _int_array([self.randint(lo, hi) for _ in range(count)])
+        fits = -(1 << 63) <= lo and hi < 1 << 63
+        out = np.empty(count, dtype=np.int64 if fits else object)
+        done = 0
+        while done < count:
+            size = min(count - done, self._BLOCK)
+            states = (self._POWERS[:size] * np.uint64(self.state)
+                      + self._OFFSETS[:size])
+            self.state = int(states[-1])
+            v = states // np.uint64(chunk)
+            v = v[v <= np.uint64(span - 1)]
+            # in int64 the sum wraps back into [lo, hi]
+            out[done:done + v.size] = v.astype(out.dtype) + lo
+            done += v.size
+        return out
 
     def nonzero(self, bound):
         """Uniform nonzero integer with magnitude <= bound."""
@@ -181,39 +234,87 @@ class GeneratedProblem:
         return tag
 
 
+def _int_array(values):
+    # np.array would turn a mix of negatives and ints past 2^63 into floats
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
 def _int_rows(rng, rows, cols, bound):
-    return [[rng.randint(-bound, bound) for _ in range(cols)]
-            for _ in range(rows)]
+    return rng.randints(-bound, bound, rows * cols).reshape(rows, cols)
+
+
+def _max_abs(a):
+    # without the temporary array of np.abs(a)
+    return max(int(a.max()), -int(a.min()))
 
 
 def _matmul_int(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    return [[sum(a[i][k] * b[k][j] for k in range(inner))
-             for j in range(cols)] for i in range(rows)]
+    """Exact ``a @ b`` of integer arrays (int64 or Python-int objects).
 
-
-def _matvec_int(a, x):
-    return [sum(r[j] * x[j] for j in range(len(x))) for r in a]
+    When ``inner * max|a| * max|b| <= 2^53`` (``EXACT_LIMIT``) every
+    product and every partial sum is an integer of magnitude at most
+    2^53, so the float64 product is exact in any summation order, with
+    fused multiply-adds and on any number of BLAS threads. It runs on
+    blocks of rows of ``a`` of about ``_PRODUCT_BLOCK`` entries, so no
+    float copy of a large ``a`` is made. Otherwise the product is taken
+    in Python ints.
+    """
+    inner = len(b)
+    if inner * max(1, _max_abs(a)) * max(1, _max_abs(b)) > EXACT_LIMIT:
+        return a.astype(object) @ b.astype(object)
+    b = b.astype(float)
+    out = np.empty((len(a),) + b.shape[1:], dtype=np.int64)
+    step = max(1, _PRODUCT_BLOCK // inner)
+    for r0 in range(0, len(a), step):
+        out[r0:r0 + step] = a[r0:r0 + step].astype(float) @ b
+    return out
 
 
 def _check_exact(values, what):
-    for row in values if isinstance(values[0], list) else [values]:
-        for v in row:
-            if abs(v) > EXACT_LIMIT:
-                raise UnrepresentableEntry(
-                    f"{what} entry {v} exceeds the exact double range 2^53")
+    if _max_abs(values) > EXACT_LIMIT:
+        flat = values.ravel()
+        first = np.flatnonzero(np.abs(flat) > EXACT_LIMIT)[0]
+        raise UnrepresentableEntry(f"{what} entry {flat[first]} exceeds "
+                                   "the exact double range 2^53")
+
+
+def _float_in_place(a):
+    """Float64 values of an integer matrix whose entries pass
+    :func:`_check_exact`.
+
+    An int64 matrix is converted in its own buffer, a row at a time, and
+    holds floats afterwards. n x n temporaries freed once the problem is
+    built stay resident in the allocator's heap: at n=600 they raised
+    the dense-large benchmark's peak RSS by about 2 MB.
+    """
+    if a.dtype != np.int64:
+        return a.astype(float)
+    f = a.view(np.float64)
+    for i in range(len(a)):
+        f[i] = a[i]
+    return f
 
 
 def _build_regular(rng, n, bound):
     # strictly diagonally dominant rows: every leading principal
     # submatrix inherits the dominance, so all leading minors are
     # nonzero (safe for pivotless eliminations) and the condition
-    # number stays moderate
-    a = [[rng.randint(-bound, bound) if i != j else 0 for j in range(n)]
-         for i in range(n)]
+    # number stays moderate. int64 holds row totals below n * bound.
+    dtype = np.int64 if n * bound < 1 << 63 else object
+    a = np.zeros((n, n), dtype=dtype)
+    off = []
     for i in range(n):
-        total = sum(abs(v) for v in a[i]) + rng.randint(1, bound)
-        a[i][i] = total if rng.randint(0, 1) else -total
+        # a row per call: no n x n temporary (see _float_in_place)
+        row = rng.randints(-bound, bound, n - 1).astype(dtype, copy=False)
+        a[i, :i], a[i, i + 1:] = row[:i], row[i:]
+        off.append(int(np.abs(row).sum()))
+    # the diagonal draws follow all off-diagonal ones
+    for i in range(n):
+        total = off[i] + rng.randint(1, bound)
+        a[i, i] = total if rng.randint(0, 1) else -total
     return a
 
 
@@ -221,13 +322,13 @@ def _unit_bidiagonal(rng, r, lower):
     # unit triangular with a single +-1 off the diagonal per row: its
     # inverse has unit-magnitude entries, so the factor is full rank
     # with condition growing only polynomially in r
-    t = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    for i in range(1, r):
-        value = 1 if rng.randint(0, 1) else -1
-        if lower:
-            t[i][i - 1] = value
-        else:
-            t[i - 1][i] = value
+    t = np.eye(r, dtype=np.int64)
+    i = np.arange(1, r)
+    signs = 2 * rng.randints(0, 1, r - 1) - 1
+    if lower:
+        t[i, i - 1] = signs
+    else:
+        t[i - 1, i] = signs
     return t
 
 
@@ -235,18 +336,16 @@ def _build_rankdef(rng, m, n, r, bound):
     # left factor: r x r unit-lower block stacked over free rows; right
     # factor: unit-upper block beside free columns. Both have full rank
     # r by their triangular blocks, so the product has rank exactly r.
-    left = _unit_bidiagonal(rng, r, lower=True)
-    left += [[rng.randint(-bound, bound) for _ in range(r)]
-             for _ in range(m - r)]
-    right = _unit_bidiagonal(rng, r, lower=False)
-    right = [row + [rng.randint(-bound, bound) for _ in range(n - r)]
-             for row in right]
+    left = np.vstack([_unit_bidiagonal(rng, r, lower=True),
+                      _int_rows(rng, m - r, r, bound)])
+    right = np.hstack([_unit_bidiagonal(rng, r, lower=False),
+                       _int_rows(rng, r, n - r, bound)])
     return _matmul_int(left, right)
 
 
 def _build_hilbert_like(n):
     scale = lcm(*range(1, 2 * n))
-    return [[scale // (i + j + 1) for j in range(n)] for i in range(n)]
+    return scale // np.add.outer(np.arange(1, n + 1), np.arange(n))
 
 
 def _build_twopower(rng, n, bound):
@@ -257,7 +356,7 @@ def _build_twopower(rng, n, bound):
         a[i][i] = 1 << i
         if i + 1 < n:
             a[i][i + 1] = rng.nonzero(bound)
-    return a
+    return _int_array(a)
 
 
 def generate(spec):
@@ -284,56 +383,50 @@ def generate(spec):
     else:
         a_int = _build_rankdef(rng, m, n, r, bound)
 
-    x_int = [rng.randint(-bound, bound) for _ in range(n)]
-    while not any(x_int):
-        x_int = [rng.randint(-bound, bound) for _ in range(n)]
-    b_int = _matvec_int(a_int, x_int)
+    x_int = rng.randints(-bound, bound, n)
+    while not x_int.any():
+        x_int = rng.randints(-bound, bound, n)
+    b_int = _matmul_int(a_int, x_int)
     _check_exact(a_int, "matrix")
     _check_exact(b_int, "rhs")
 
+    # Python ints in the lists: the exact solver's arithmetic on them
+    # must not wrap as np.int64 would
+    a_rows = a_int.tolist()
     return GeneratedProblem(
-        spec=spec,
-        a=np.array(a_int, dtype=float),
-        b=np.array(b_int, dtype=float),
-        x_true=np.array(x_int, dtype=float),
-        a_int=a_int, b_int=b_int, x_int=x_int)
+        spec=spec, a=_float_in_place(a_int), b=b_int.astype(float),
+        x_true=x_int.astype(float), a_int=a_rows, b_int=b_int.tolist(),
+        x_int=x_int.tolist())
 
 
 def _generate_kt(spec, rng, bound):
     n, m = spec.n, spec.m
     # SPD integer block: B B^T plus a dominant diagonal
     b_fac = _int_rows(rng, n, n, max(1, bound // 3))
-    g_int = _matmul_int(b_fac, [list(col) for col in zip(*b_fac)])
-    for i in range(n):
-        g_int[i][i] += n
+    g_int = _matmul_int(b_fac, b_fac.T)
+    g_int[np.diag_indices(n)] += n
     # full-row-rank constraints: unit-lower block plus free columns
-    c_int = _unit_bidiagonal(rng, m, lower=True)
-    c_int = [row + [rng.randint(-bound, bound) for _ in range(n - m)]
-             for row in c_int]
-    p_hat = [rng.randint(-bound, bound) for _ in range(n)]
-    z_hat = [rng.randint(-bound, bound) for _ in range(m)]
-    c_rhs = _matvec_int(c_int, p_hat)
-    ct = [list(col) for col in zip(*c_int)]
-    g_rhs = [gv + cv for gv, cv in
-             zip(_matvec_int(g_int, p_hat), _matvec_int(ct, z_hat))]
+    c_int = np.hstack([_unit_bidiagonal(rng, m, lower=True),
+                       _int_rows(rng, m, n - m, bound)])
+    p_hat = rng.randints(-bound, bound, n)
+    z_hat = rng.randints(-bound, bound, m)
+    c_rhs = _matmul_int(c_int, p_hat)
+    g_rhs = _matmul_int(g_int, p_hat) + _matmul_int(c_int.T, z_hat)
     for block, label in ((g_int, "G block"), (c_int, "C block"),
                          (g_rhs, "gradient rhs"), (c_rhs, "constraint rhs")):
         _check_exact(block, label)
 
-    system = kt.KTSystem(g_mat=np.array(g_int, dtype=float),
-                         c_mat=np.array(c_int, dtype=float),
-                         g=np.array(g_rhs, dtype=float),
-                         c=np.array(c_rhs, dtype=float))
+    a_int = [g_row + ct_row for g_row, ct_row in
+             zip(g_int.tolist(), c_int.T.tolist())]
+    a_int += [c_row + [0] * m for c_row in c_int.tolist()]
+    x_int = p_hat.tolist() + z_hat.tolist()
+    system = kt.KTSystem(g_mat=_float_in_place(g_int),
+                         c_mat=_float_in_place(c_int),
+                         g=g_rhs.astype(float), c=c_rhs.astype(float))
     a, b = system.assemble()
-    a_int = [row[:] + ct_row[:] for row, ct_row in
-             zip(g_int, [list(r) for r in zip(*c_int)])]
-    a_int += [row[:] + [0] * m for row in c_int]
-    b_int = list(g_rhs) + list(c_rhs)
-    x_int = list(p_hat) + list(z_hat)
     return GeneratedProblem(
-        spec=spec, a=a, b=b,
-        x_true=np.array(x_int, dtype=float),
-        a_int=a_int, b_int=b_int, x_int=x_int,
+        spec=spec, a=a, b=b, x_true=np.array(x_int, dtype=float),
+        a_int=a_int, b_int=g_rhs.tolist() + c_rhs.tolist(), x_int=x_int,
         kt_system=system, kt_m=m)
 
 

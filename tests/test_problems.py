@@ -1,16 +1,22 @@
 """Generator and benchmark-harness checks.
 
 Exactness claims are verified in integer arithmetic, rank claims
-against the fraction elimination oracle, and the generator stream
-against an independent copy of its recurrence.
+against the fraction elimination oracle, the generator stream against
+an independent copy of its recurrence, and the generated problems
+against a digest recorded with the scalar, Python-int generator.
 """
 
+import contextlib
+import hashlib
+import io
+import json
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from absolve import problems
+from absolve import cli, problems
 from absolve.errors import UnrepresentableEntry
 
 from oracles import fraction_det, fraction_rank
@@ -44,6 +50,34 @@ def test_randint_covers_the_closed_range():
     assert seen == {-2, -1, 0, 1, 2, 3}
     with pytest.raises(ValueError):
         rng.randint(5, 4)
+
+
+@pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 3 * 4096 + 7])
+def test_randints_equal_the_scalar_draws(count):
+    block, scalar = problems.Lcg64(5), problems.Lcg64(5)
+    got = block.randints(-1000, 1000, count)
+    assert got.tolist() == [scalar.randint(-1000, 1000)
+                            for _ in range(count)]
+    assert block.state == scalar.state
+
+
+def test_randints_reject_like_the_scalar_draws():
+    # chunk = 1 here, so every state of 3 * 2^62 or more is rejected
+    # (about a quarter), and the values leave int64
+    hi = 3 * 2 ** 62 - 1
+    block, scalar = problems.Lcg64(11), problems.Lcg64(11)
+    got = block.randints(0, hi, 1000).tolist()
+    assert got == [scalar.randint(0, hi) for _ in range(1000)]
+    assert block.state == scalar.state
+    assert all(type(v) is int for v in got) and max(got) >= 2 ** 63
+    # a one-value range and a range as wide as the generator
+    for lo, hi in ((4, 4), (-2 ** 63, 2 ** 63 - 1)):
+        block, scalar = problems.Lcg64(2), problems.Lcg64(2)
+        assert block.randints(lo, hi, 50).tolist() == [
+            scalar.randint(lo, hi) for _ in range(50)]
+        assert block.state == scalar.state
+    with pytest.raises(ValueError):
+        problems.Lcg64(1).randints(5, 4, 3)
 
 
 def test_nonzero_never_returns_zero():
@@ -137,6 +171,89 @@ def test_oversized_entries_are_rejected():
                                 entry_bound=2 ** 52)
     with pytest.raises(UnrepresentableEntry):
         problems.generate(spec)
+
+
+# sha256 of the generator's output on frozen_grid(), recorded with the
+# pure-Python generator (scalar draws, Python-int products): any change to
+# the stream, the draw order, the products or the error texts moves it.
+# twopower-illcond from n=39 (n=49 at bound 1) and the bounds 2^26 and 2^62
+# take the Python-int products; at 2^62 the regular row totals leave int64.
+FROZEN_DIGEST = ("4be8174e29ef316bcfa9076c89ce0269"
+                 "2d98fdd6a67dcfd040907c7d2cd9668a")
+
+
+def frozen_grid():
+    shapes = [dict(kind="determined", n=n) for n in (1, 2, 9, 40, 100)]
+    shapes += [dict(kind="determined", n=9, target_rank=4),
+               dict(kind="determined", n=40, target_rank=17)]
+    shapes += [dict(kind="determined", n=n, family="hilbert-like-int")
+               for n in (1, 6, 12)]
+    shapes += [dict(kind="determined", n=n, family="twopower-illcond")
+               for n in range(1, 51)]
+    shapes += [dict(kind="overdetermined", n=7),
+               dict(kind="overdetermined", n=20, m=33, target_rank=6),
+               dict(kind="overdetermined", n=70),
+               dict(kind="underdetermined", n=9),
+               dict(kind="underdetermined", n=30, m=12, target_rank=5),
+               dict(kind="kt", n=1), dict(kind="kt", n=9),
+               dict(kind="kt", n=9, m=9), dict(kind="kt", n=40),
+               dict(kind="kt", n=70),
+               dict(kind="diophantine", n=6),
+               dict(kind="diophantine", n=9, m=5, target_rank=3),
+               dict(kind="diophantine", n=5, family="hilbert-like-int"),
+               dict(kind="diophantine", n=8, family="twopower-illcond")]
+    return [dict(shape, entry_bound=bound, seed=seed)
+            for seed in (0, 1, 908006)
+            for bound in (1, 1000, 2 ** 26, 2 ** 62) for shape in shapes]
+
+
+def _array_record(arr):
+    arr = np.ascontiguousarray(arr)
+    return (arr.dtype.str, arr.shape, arr.tobytes())
+
+
+def generated_record(spec):
+    """Everything ``generate`` returns for ``spec``, or its error text."""
+    try:
+        p = problems.generate(problems.ProblemSpec(**spec))
+    except UnrepresentableEntry as exc:
+        return ("UnrepresentableEntry", str(exc))
+    for values in (p.b_int, p.x_int, *p.a_int):
+        assert all(type(v) is int for v in values)
+    record = (p.a_int, p.b_int, p.x_int, _array_record(p.a),
+              _array_record(p.b), _array_record(p.x_true), p.kt_m)
+    if p.kt_system is not None:
+        s = p.kt_system
+        record += tuple(_array_record(v) for v in (s.g_mat, s.c_mat,
+                                                   s.g, s.c))
+    return record
+
+
+def frozen_digest():
+    digest = hashlib.sha256()
+    for spec in frozen_grid():
+        digest.update(repr((sorted(spec.items()),
+                            generated_record(spec))).encode())
+    return digest.hexdigest()
+
+
+def test_generator_output_is_frozen():
+    assert frozen_digest() == FROZEN_DIGEST
+
+
+def test_default_bench_tables_keep_their_recorded_bytes():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "bench_digests.json")
+    with open(path, encoding="ascii") as fh:
+        recorded = json.load(fh)
+    got = {}
+    for suite in cli.SUITES:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(["bench", "--suite", suite])
+        text = buf.getvalue() + f"exit {code}\n"
+        got[suite] = hashlib.sha256(text.encode("ascii")).hexdigest()
+    assert got == recorded
 
 
 def test_kt_problem_blocks_and_assembly():
