@@ -5,6 +5,12 @@ count as multiplies) that each vectorized numpy call performs, so reported
 totals equal what a scalar implementation of the same loop would do. Counts
 include the arithmetic spent on tolerance tests (norms, scale factors); the
 documentation of each solver states this.
+
+Counts are those of the formula a step evaluates, not of the entries the
+code happens to touch: a rank-one update of an n x n projector counts n^2
+multiplies even where it skips rows that are exactly zero (and would come
+out unchanged), and a product reused because it has the same bytes as the
+one the formula names is counted as if formed again.
 """
 
 from dataclasses import dataclass

@@ -94,12 +94,11 @@ class Lcg64:
 
         Divides by a fixed chunk so the value comes from the leading
         bits; the low bits of a power-of-two-modulus linear generator
-        cycle with tiny periods and must not reach the caller.
+        cycle with tiny periods and must not reach the caller. Ranges of
+        more than 2^64 values raise ``ValueError``.
         """
         span = hi - lo + 1
-        if span <= 0:
-            raise ValueError("empty range")
-        chunk = (1 << 64) // span
+        chunk = self._chunk(span)
         while True:
             v = self.next_u64() // chunk
             if v < span:
@@ -114,11 +113,9 @@ class Lcg64:
         object array.
         """
         span = hi - lo + 1
-        if span <= 0:
-            raise ValueError("empty range")
-        chunk = (1 << 64) // span
-        if not 1 <= chunk <= self.MASK:
-            # a one-value range, or one wider than the generator
+        chunk = self._chunk(span)
+        if chunk > self.MASK:
+            # a one-value range
             return _int_array([self.randint(lo, hi) for _ in range(count)])
         fits = -(1 << 63) <= lo and hi < 1 << 63
         out = np.empty(count, dtype=np.int64 if fits else object)
@@ -134,6 +131,17 @@ class Lcg64:
             out[done:done + v.size] = v.astype(out.dtype) + lo
             done += v.size
         return out
+
+    @staticmethod
+    def _chunk(span):
+        """Divisor that maps a state to a draw from ``span`` values."""
+        if span <= 0:
+            raise ValueError("empty range")
+        if span > 1 << 64:
+            raise ValueError(
+                f"range of {span} values is wider than the generator's "
+                f"2^64 states")
+        return (1 << 64) // span
 
     def nonzero(self, bound):
         """Uniform nonzero integer with magnitude <= bound."""
@@ -178,8 +186,8 @@ class ProblemSpec:
             self.target_rank = min(self.m, self.n)
         if not 1 <= self.target_rank <= min(self.m, self.n):
             raise ValueError("target_rank must lie in [1, min(m, n)]")
-        if self.entry_bound < 1:
-            raise ValueError("entry_bound must be positive")
+        if not 1 <= self.entry_bound < 1 << 63:
+            raise ValueError("entry_bound must lie in [1, 2^63)")
         if self.family is None:
             full = self.target_rank == min(self.m, self.n)
             self.family = "regular" if (full and self.m == self.n) \

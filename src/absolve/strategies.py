@@ -79,7 +79,11 @@ class ParameterStrategy:
         return z
 
     def update_h(self, state, s, w, p, den):
-        wh = w @ state.h
+        self._oblique_update(state, s, w, w @ state.h)
+
+    @staticmethod
+    def _oblique_update(state, s, w, wh):
+        """``H <- H - s (w^T H) / (w^T s)`` given ``wh = w^T H``."""
         den_w = float(w @ s)
         n = state.n
         state.counter.add(n * n + n)
@@ -178,6 +182,11 @@ class ImplicitLXStrategy(ParameterStrategy):
     well scaled without touching the row order. Components chosen earlier
     are exactly zero in later projected rows, so each index is picked at
     most once.
+
+    The update zeroes row k of the projector, but the zeroed rows are
+    scattered over the matrix, so every step updates all n rows; the
+    implicit LU subclass, whose zero rows form a leading block, skips
+    them.
     """
 
     def begin(self, a):
@@ -205,8 +214,15 @@ class ImplicitLXStrategy(ParameterStrategy):
         if pivot == 0.0:
             raise DivisionByZero("pivot component of the projected row is 0")
         # dividing on the s side zeroes row k exactly (s_k/s_k == 1)
-        core.subtract_outer(state.h, s / pivot, state.h[k].copy())
+        t = s / pivot
+        row = state.h[k].copy()
+        lo = self._skip_rows(k, t, row)
+        core.subtract_outer(state.h[lo:], t[lo:], row)
         state.counter.add(n * n + n)
+
+    def _skip_rows(self, k, t, row):
+        """Leading rows of the update that would come out unchanged."""
+        return 0
 
 
 class ImplicitLUStrategy(ImplicitLXStrategy):
@@ -225,12 +241,33 @@ class ImplicitLUStrategy(ImplicitLXStrategy):
         if m > n:
             raise UnsupportedShape(
                 f"implicit LU needs m <= n, got {m} rows, {n} columns")
+        self._zero_rows = 0
 
     def direction_seed(self, i, state, s):
         self._k = i
         e = np.zeros(state.n)
         e[i] = 1.0
         return e
+
+    def _skip_rows(self, k, t, row):
+        # Rows 0.._zero_rows-1 of the projector are exactly +0. There the
+        # product t_r * row_j is +-0 when t_r is +-0 and the pivot row is
+        # finite, and +0 - (+-0) is +0, so the update would leave them as
+        # they are. Row k itself becomes row - 1 * row = +0 when t_k is 1
+        # and the row is finite, which extends the block when k is its
+        # next row (a redundant equation leaves its row nonzero, and the
+        # block stops growing). A nonzero or NaN in t above the block, or
+        # a pivot row that is not finite, updates every row from then on.
+        # Below BLAS_MIN entries the checks cost more than the rows.
+        if t.size * row.size < core.BLAS_MIN:
+            return 0
+        lo = self._zero_rows
+        if t[:lo].any() or not np.isfinite(row).all():
+            self._zero_rows = 0
+            return 0
+        if k == lo and t[k] == 1.0:
+            self._zero_rows = lo + 1
+        return lo
 
     def validate_pivot(self, i, den, scale, piv_tol):
         if abs(den) <= piv_tol * scale:
@@ -277,6 +314,11 @@ class _CachedSearchStrategy(ParameterStrategy):
     def search_vector(self, i, state, s, z):
         pt, _ = self._cache.pop(i)
         return pt
+
+    def update_h(self, state, s, w, p, den):
+        # w = a_i, and the cached p = H^T a_i has the bytes of w^T H (the
+        # same BLAS call), so the update reuses it
+        self._oblique_update(state, s, w, p)
 
 
 class ImplicitQRStrategy(_CachedSearchStrategy):
@@ -595,6 +637,14 @@ def _deflate_directions(y, c, u, x, piv_tol, counter, iterates=None):
     m, n = y.shape
     p_out = []
     pivots = []
+    # Entries of the trailing columns on rows past the last nonzero of
+    # u_i would receive u_rj - (+-0), which leaves them as they are
+    # unless u_rj is -0 or coeff is not finite. The update creates no -0
+    # where there is none, so one check of the seeds covers every step.
+    # Below BLAS_MIN entries the two numpy calls that find those rows
+    # cost more than updating them.
+    skip_zero_rows = u.size >= core.BLAS_MIN \
+        and not core._holds_negative_zero(u)
     for i in range(m):
         row = y[i]
         ui = u[:, i]
@@ -615,7 +665,12 @@ def _deflate_directions(y, c, u, x, piv_tol, counter, iterates=None):
         if i + 1 < m:
             coeff = (row @ u[:, i + 1:]) / den
             counter.add(n * (m - i - 1) + (m - i - 1))
-            core.subtract_outer(u[:, i + 1:], ui, coeff)
+            rows = n
+            if skip_zero_rows and coeff.size * n >= core.BLAS_MIN \
+                    and np.isfinite(coeff).all():
+                nonzero = np.flatnonzero(ui)
+                rows = int(nonzero[-1]) + 1 if nonzero.size else 0
+            core.subtract_outer(u[:rows, i + 1:], ui[:rows], coeff)
             counter.add(n * (m - i - 1))
         p_out.append(ui.copy())
         pivots.append(den)

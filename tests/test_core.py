@@ -1,5 +1,7 @@
 """Engine-level behavior: classification, invariants, reports, counting."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,6 +154,132 @@ def test_subtract_outer_matches_the_unfused_expression(case):
     # columns outside the view are left alone
     assert np.array_equal(parent[:, :parent.shape[1] - h.shape[1]],
                           before[:, :parent.shape[1] - h.shape[1]])
+
+
+def _full_mantissa(rng, size):
+    # uniform in [1, 2) times a random sign and power of two: the
+    # mantissas are full, so a product of two is almost never exact
+    return (1.0 + rng.random(size)) * rng.choice([-1.0, 1.0], size) \
+        * 2.0 ** rng.integers(-3, 4, size)
+
+
+def _near_cancellation(rng, rows, cols):
+    """(h, u, v) with h within 2^-20 of outer(u, v), where a fused
+    multiply-add, ``round(h - u v)``, differs from the unfused
+    ``round(h - round(u v))`` whenever the product is inexact."""
+    u, v = _full_mantissa(rng, rows), _full_mantissa(rng, cols)
+    h = np.outer(u, v) * (1.0 + 2.0 ** -20 * rng.uniform(-1, 1,
+                                                         (rows, cols)))
+    return h, u, v
+
+
+def _fused(h, u, v):
+    return float(Fraction(h) - Fraction(u) * Fraction(v))
+
+
+@pytest.fixture
+def dgemm_calls(monkeypatch):
+    """Counts the BLAS calls of :func:`core.subtract_outer`."""
+    calls = []
+    real = core._dgemm
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["c"].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(core, "_dgemm", counting)
+    return calls
+
+
+def _check_subtract_outer(h, u, v, parent=None):
+    parent = h if parent is None else parent
+    outside = parent.shape[1] - h.shape[1]
+    before = parent[:, :outside].copy()
+    expected = h - np.outer(u, v)
+    core.subtract_outer(h, u, v)
+    assert h.tobytes() == expected.tobytes()
+    assert np.array_equal(np.signbit(h), np.signbit(expected))
+    assert parent[:, :outside].tobytes() == before.tobytes()
+
+
+def test_subtract_outer_on_blas_is_not_fused(dgemm_calls):
+    rng = np.random.default_rng(31)
+    h, u, v = _near_cancellation(rng, 300, 300)
+    # the case discriminates: a fused kernel would differ in most entries
+    sample = [(i, (7 * i) % 300) for i in range(300)]
+    differ = sum(_fused(h[i, j], u[i], v[j]) != h[i, j] - u[i] * v[j]
+                 for i, j in sample)
+    assert differ > 0.9 * len(sample)
+    _check_subtract_outer(h, u, v)
+    assert dgemm_calls == [(300, 300)]
+
+
+def _with_zeros(rng, h, u, v):
+    """A quarter of u and of v set to +-0, and h +0 where the product
+    is: the rows and columns that the update leaves as they are."""
+    for vec in (u, v):
+        idx = rng.choice(vec.size, vec.size // 4, replace=False)
+        vec[idx] = rng.choice([-0.0, 0.0], idx.size)
+    h = np.where(np.outer(u, v) == 0.0, 0.0, h)
+    return h, u, v
+
+
+def test_subtract_outer_scans_for_negative_zero(dgemm_calls):
+    rng = np.random.default_rng(32)
+    h, u, v = _with_zeros(rng, *_near_cancellation(rng, 300, 300))
+    assert np.signbit(np.outer(u, v)[h == 0.0]).any()
+    assert not np.signbit(h[h == 0.0]).any()
+    _check_subtract_outer(h, u, v)
+    assert dgemm_calls == [(300, 300)]
+
+
+def test_subtract_outer_falls_back_on_a_negative_zero(dgemm_calls):
+    rng = np.random.default_rng(33)
+    h, u, v = _with_zeros(rng, *_near_cancellation(rng, 300, 300))
+    # u_i v_j is -0 at (i, j): unfused, -0 - (-0) is +0; the k=1 kernel
+    # would keep -0 there
+    i = int(np.flatnonzero(u == 0.0)[0])
+    j = int(np.flatnonzero(v != 0.0)[0])
+    u[i] = -0.0 if v[j] > 0 else 0.0
+    h[i, j] = -0.0
+    _check_subtract_outer(h, u, v)
+    assert h[i, j] == 0.0 and not np.signbit(h[i, j])
+    assert dgemm_calls == []
+
+
+@pytest.mark.parametrize("bad", (np.inf, -np.inf, np.nan))
+def test_subtract_outer_falls_back_on_nonfinite_input(bad, dgemm_calls):
+    rng = np.random.default_rng(34)
+    h, u, v = _near_cancellation(rng, 300, 300)
+    v[5] = 0.0  # inf * 0 is NaN
+    u[17] = bad
+    with np.errstate(invalid="ignore"):
+        _check_subtract_outer(h, u, v)
+    assert dgemm_calls == []
+
+
+@pytest.mark.parametrize("shape", ((63, 64), (64, 64), (100, 300),
+                                   (600, 600), (1000, 1024)))
+def test_subtract_outer_shapes_around_the_blas_cutoffs(shape, dgemm_calls):
+    # both sides of BLAS_MIN, and shapes that OpenBLAS may send to its
+    # small-matrix kernels (up to 10^6 products) or not
+    rng = np.random.default_rng(35)
+    h, u, v = _near_cancellation(rng, *shape)
+    _check_subtract_outer(h, u, v)
+    rows, cols = shape
+    assert dgemm_calls == ([(cols, rows)] if rows * cols >= core.BLAS_MIN
+                           else [])
+
+
+def test_subtract_outer_updates_a_column_slice_in_its_parent(dgemm_calls):
+    rng = np.random.default_rng(36)
+    parent, u, _ = _near_cancellation(rng, 300, 300)
+    h = parent[:, 100:]
+    assert h.size >= core.BLAS_MIN
+    # f2py would update a copy of a strided view: the slice takes the
+    # row-block path and the parent buffer sees the update
+    _check_subtract_outer(h, u, _full_mantissa(rng, 200), parent=parent)
+    assert dgemm_calls == []
 
 
 def test_implicit_factorization_reconstructs_the_inverse():

@@ -80,6 +80,22 @@ def test_randints_reject_like_the_scalar_draws():
         problems.Lcg64(1).randints(5, 4, 3)
 
 
+def test_ranges_wider_than_the_generator_are_rejected():
+    # 2^64 values draw with chunk 1; one more would leave chunk 0
+    for lo, hi in ((0, 2 ** 64), (-2 ** 63, 2 ** 63)):
+        rng = problems.Lcg64(3)
+        with pytest.raises(ValueError, match="wider than the generator"):
+            rng.randint(lo, hi)
+        with pytest.raises(ValueError, match="wider than the generator"):
+            rng.randints(lo, hi, 5)
+        assert rng.state == problems.Lcg64(3).state
+    # entries draw from [-bound, bound], 2 bound + 1 values
+    problems.ProblemSpec(kind="determined", n=4, entry_bound=2 ** 63 - 1)
+    for bound in (2 ** 63, 2 ** 63 + 5, 0):
+        with pytest.raises(ValueError, match="entry_bound"):
+            problems.ProblemSpec(kind="determined", n=4, entry_bound=bound)
+
+
 def test_nonzero_never_returns_zero():
     rng = problems.Lcg64(3)
     draws = [rng.nonzero(4) for _ in range(200)]

@@ -68,6 +68,38 @@ def test_implicit_lu_zeroes_processed_projector_rows_exactly():
     assert np.allclose(rep.x, [1.0, -1.0, 2.0], atol=1e-12)
 
 
+def _sprinkle(rng, a, rate, values):
+    mask = rng.random(a.shape) < rate
+    a[mask] = rng.choice(values, mask.sum())
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_implicit_lu_update_equals_the_full_update(seed):
+    # update_h leaves out the leading rows it has zeroed; for any s, any
+    # start and any order of pivot rows it must still give
+    # h - outer(s / s_k, h_k), bit for bit
+    rng = np.random.default_rng(seed)
+    n = 80
+    h = rng.standard_normal((n, n))
+    _sprinkle(rng, h, 0.2, [0.0, -0.0])
+    _sprinkle(rng, h, 0.002, [np.inf, -np.inf, np.nan])
+    strategy = strategies.GiluStrategy(h)
+    state = core.ProjectorState(h=strategy.initial_h(n))
+    strategy.begin(np.zeros((n, n)))
+    expected = state.h.copy()
+    # pivot rows in order, with gaps where an equation was redundant
+    ks = np.flatnonzero(rng.random(n) < 0.8)[:30]
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for k in ks:
+            s = rng.standard_normal(n)
+            _sprinkle(rng, s[:k], 0.9, [0.0, -0.0])
+            _sprinkle(rng, s, 0.01, [np.inf, -np.inf, np.nan])
+            strategy._k = int(k)
+            strategy.update_h(state, s, None, None, None)
+            expected -= np.outer(s / s[k], expected[k].copy())
+            assert state.h.tobytes() == expected.tobytes()
+
+
 def test_implicit_lu_pivots_equal_exact_minor_ratios():
     rng = np.random.default_rng(8)
     a_int = [[7, 1, -2, 3], [2, -9, 1, 0], [-1, 4, 8, -2], [3, 0, 1, 6]]

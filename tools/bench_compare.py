@@ -21,10 +21,12 @@ its ``environment`` record, and leaves the others as they are.
 
 Every run lasts ``BENCHMARK.json``'s ``run_seconds``.
 * ``kernel`` times the packed ``implicit_lu_solve``, the engine's
-  ``ilu`` strategy and ``numpy.linalg.solve`` on regular systems with
-  n=300 and n=600, in fresh interpreters that alternate between the
-  checkouts; each figure is the fastest of a few repeats after a
-  warm-up call.
+  ``ilu``, ``huang``, ``mhuang`` and ``iqr`` strategies, ``gilu_solve``
+  with unit seeds, ``numpy.linalg.solve``, and one
+  ``core.subtract_outer`` call on an n x n matrix (``u = b``,
+  ``v = a[0]``), on regular systems with n=300 and n=600, in fresh
+  interpreters that alternate between the checkouts; each figure is the
+  fastest of a few repeats after a warm-up call.
 """
 
 import argparse
@@ -56,12 +58,18 @@ from absolve import core, problems, strategies
 solvers = {
     "packed_ilu_s": strategies.implicit_lu_solve,
     "engine_ilu_s": lambda a, b: core.solve(a, b, strategy="ilu"),
+    "huang_s": lambda a, b: core.solve(a, b, strategy="huang"),
+    "mhuang_s": lambda a, b: core.solve(a, b, strategy="mhuang"),
+    "iqr_s": lambda a, b: core.solve(a, b, strategy="iqr"),
+    "gilu_s": lambda a, b: strategies.gilu_solve(a, b, np.eye(len(b))),
     "lapack_s": np.linalg.solve,
+    "subtract_outer_s": lambda a, b: core.subtract_outer(work, b, a[0]),
 }
 out = {}
 for n in map(int, sys.argv[2].split(",")):
     p = problems.generate(problems.ProblemSpec(kind="determined", n=n,
                                                seed=n))
+    work = p.a.copy()
     row = out[str(n)] = {}
     for name, solve in solvers.items():
         solve(p.a, p.b)
