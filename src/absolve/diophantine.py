@@ -23,9 +23,10 @@ processed rows, so ``x + H^T q`` over all integer ``q`` enumerates every
 integer solution exactly.
 """
 
+from bisect import insort
 from dataclasses import dataclass
 from itertools import product
-from math import gcd
+from operator import mul
 
 from .errors import IncompatibleSystem, IntegerInconsistent
 
@@ -67,29 +68,53 @@ def bezout_gcd(values):
     ``sum(z[i] * values[i]) == g``. The reduction always folds the two
     currently largest magnitudes into each other, which keeps the
     certificate entries small. All-zero input gives ``(0, [0, ...])``.
+
+    The fold order is that of re-sorting the live entries by magnitude
+    (stable, descending) before every fold, the two at the front folding.
+    Here the live entries are held in ascending order of the keys
+    ``(|v|, tie, i)``, so the two largest are the last two, and a nonzero
+    remainder goes back in by bisection. Initial entries have
+    ``tie = -i``: among equal magnitudes the lower index is larger, as
+    the stable sort of the index-ordered list has it. Each remainder
+    takes a ``tie`` above every earlier one, because the stable sort
+    puts the entry just folded, which sits at the front of the list,
+    ahead of every other entry of its magnitude.
+
+    The certificate comes from one backward pass. Fold ``(a, b, q)``
+    replaces entry ``a``'s coefficient row by ``row_a - q row_b``: it
+    left-multiplies the coefficient matrix, which starts as
+    ``C_0 = diag(sign v)``, by ``E = I - q e_a e_b^T``. For the survivor
+    ``s``, ``z^T = e_s^T E_K ... E_1 C_0``. Evaluated from the left, with
+    ``w = e_s``, each ``w^T E`` is ``w[b] -= q w[a]``, and finally
+    ``z_i = sign(v_i) w_i``: the same integers as carrying a dense
+    coefficient vector through every fold, for one scalar update per
+    fold.
     """
     values = list(values)
     m = len(values)
-    active = []  # (magnitude, coefficient vector)
-    for i, v in enumerate(values):
-        if v == 0:
-            continue
-        coeff = [0] * m
-        coeff[i] = 1 if v > 0 else -1
-        active.append([abs(v), coeff])
-    if not active:
+    keys = [(abs(v), -i, i) for i, v in enumerate(values) if v]
+    if not keys:
         return 0, [0] * m
 
-    while len(active) > 1:
-        active.sort(key=lambda e: e[0], reverse=True)
-        a, b = active[0], active[1]
-        q = a[0] // b[0]
-        a[0] -= q * b[0]
-        a[1] = [ca - q * cb for ca, cb in zip(a[1], b[1])]
-        if a[0] == 0:
-            active.pop(0)
-    g, z = active[0]
-    return g, z
+    keys.sort()
+    folds = []
+    tie = 0
+    while len(keys) > 1:
+        va, _, a = keys.pop()
+        vb, _, b = keys[-1]
+        q, r = divmod(va, vb)
+        folds.append((a, b, q))
+        if r:
+            tie += 1
+            insort(keys, (r, tie, a))
+    g, _, s = keys[0]
+    w = [0] * m
+    w[s] = 1
+    for a, b, q in reversed(folds):
+        wa = w[a]
+        if wa:
+            w[b] -= q * wa
+    return g, [wi if v > 0 else -wi for wi, v in zip(w, values)]
 
 
 def bareiss_det(mat):
@@ -205,34 +230,38 @@ def solve(a, b, h1=None, x1=None):
     deltas = []
     for i in range(m):
         row = a[i]
-        tau = sum(rv * xv for rv, xv in zip(row, x)) - b[i]
-        s = [sum(hr[k] * row[k] for k in range(n)) for hr in h]
-        if all(sv == 0 for sv in s):
+        tau = sum(map(mul, row, x)) - b[i]
+        s = [sum(map(mul, hr, row)) for hr in h]
+        if not any(s):
             if tau == 0:
                 eq_status.append(REDUNDANT)
                 continue
             eq_status.append(INCOMPATIBLE)
             raise IncompatibleSystem(
-                i, report=_partial(x, eq_status, h, deltas, a, b),
+                i, report=_partial(eq_status, h, deltas, a, b),
                 detail=f"projected row vanished, residual {tau}")
         delta, z = bezout_gcd(s)
         if tau % delta != 0:
             eq_status.append(INTEGER_INCOMPATIBLE)
-            raise IntegerInconsistent(i, delta, tau)
+            raise IntegerInconsistent(
+                i, delta, tau, report=_partial(eq_status, h, deltas, a, b))
         alpha = tau // delta
 
         # p = H^T z is both the integer step direction and the row the
-        # projector update subtracts
-        zh = [sum(z[j] * h[j][k] for j in range(n)) for k in range(n)]
+        # projector update subtracts; only the rows of H that z uses
+        # enter it
+        zh = [0] * n
+        for zj, hj in zip(z, h):
+            if zj:
+                zh = [pv + zj * hv for pv, hv in zip(zh, hj)]
         x = [xv - alpha * pv for xv, pv in zip(x, zh)]
 
         # H <- H - (s/delta) (z^T H); the new rows still span the null
         # lattice of the rows processed so far
-        for j in range(n):
-            f = s[j] // delta
-            if f:
-                hj = h[j]
-                h[j] = [hv - f * zv for hv, zv in zip(hj, zh)]
+        for j, sj in enumerate(s):
+            if sj:
+                f = sj // delta
+                h[j] = [hv - f * zv for hv, zv in zip(h[j], zh)]
         eq_status.append(INDEPENDENT)
         deltas.append(delta)
 
@@ -240,7 +269,7 @@ def solve(a, b, h1=None, x1=None):
                      deltas=deltas, matrix=a, rhs=b)
 
 
-def _partial(x, eq_status, h, deltas, a, b):
+def _partial(eq_status, h, deltas, a, b):
     return DioReport(x=None, rank=len(deltas), eq_status=eq_status, h=h,
                      deltas=deltas, matrix=a, rhs=b)
 
@@ -253,9 +282,15 @@ def general_solution(report, q):
     n = len(report.x)
     if len(q) != n:
         raise ValueError("parameter vector length must equal the unknowns")
-    h = report.h
-    return [report.x[k] + sum(q[j] * h[j][k] for j in range(n))
-            for k in range(n)]
+    return list(_shift(report.x, q, report.h))
+
+
+def _shift(x, q, rows):
+    """The point ``x + sum_j q_j rows_j``."""
+    for qj, rj in zip(q, rows):
+        if qj:
+            x = [xv + qj * rv for xv, rv in zip(x, rj)]
+    return x
 
 
 def _lattice_basis(rows):
@@ -309,11 +344,19 @@ def _adjugate(mat):
 def solutions_in_box(report, radius):
     """All integer solutions with every component in [-radius, radius].
 
-    Reduces the projector rows to a lattice basis, then enumerates the
-    parameter lattice inside an exact per-coordinate bound derived from
-    the adjugate of the basis Gram matrix, so the returned tuple list is
-    complete. Intended for small systems; the enumeration is exponential
-    in the lattice dimension.
+    Reduces the projector rows to a lattice basis ``r_1..r_k``; the
+    solutions are ``y = x + q_1 r_1 + ... + q_k r_k``. The first k-1
+    parameters run over an exact per-coordinate bound derived from the
+    adjugate of the basis Gram matrix, so no solution in the box is
+    missed. The last one is solved for, not searched: for the partial
+    point ``y``, ``|y_c + q_k r_kc| <= radius`` holds for the integers
+    ``q_k`` of an interval whose ends are floor quotients, and the
+    intersection of these intervals over the coordinates with
+    ``r_kc != 0`` (the others must already lie in the box) is exactly
+    the set of completions. With k = 1 no bound, Gram matrix or
+    adjugate is needed at all. The returned tuple list is complete and
+    sorted. Intended for small systems; the enumeration is exponential
+    in the lattice dimension minus one.
     """
     if report.x is None:
         raise ValueError("no particular solution: the run was incompatible")
@@ -326,27 +369,37 @@ def solutions_in_box(report, radius):
             return [tuple(x)]
         return []
 
-    # q is recovered from a target y by q = (H H^T)^{-1} H (y - x); bound
-    # each |q_j| through the adjugate so the box below cannot miss one
-    gram = [[sum(ra[c] * rb[c] for c in range(len(ra))) for rb in rows]
-            for ra in rows]
-    det = bareiss_det(gram)
-    adj = _adjugate(gram)
-    hy_bound = [sum(abs(c) * (radius + abs(xv)) for c, xv in zip(r, x))
-                for r in rows]
-    q_bounds = []
-    for j in range(k):
-        num = sum(abs(adj[j][l]) * hy_bound[l] for l in range(k))
-        q_bounds.append(num // abs(det) + 1)
+    *head, last = rows
+    if head:
+        # q is recovered from a target y by q = (H H^T)^{-1} H (y - x);
+        # bound each |q_j| through the adjugate so the box below cannot
+        # miss one
+        gram = [[sum(map(mul, ra, rb)) for rb in rows] for ra in rows]
+        det = bareiss_det(gram)
+        adj = _adjugate(gram)
+        hy_bound = [sum(abs(c) * (radius + abs(xv)) for c, xv in zip(r, x))
+                    for r in rows]
+        q_bounds = [sum(abs(adj[j][l]) * hy_bound[l] for l in range(k))
+                    // abs(det) + 1 for j in range(k - 1)]
+        starts = (_shift(x, q, head) for q in
+                  product(*(range(-qb, qb + 1) for qb in q_bounds)))
+    else:
+        starts = [x]
 
+    # q_k r_kc + y_c in [-radius, radius], with the floor quotients of
+    # the interval ends taken toward its inside
+    up = [(c, rv) for c, rv in enumerate(last) if rv > 0]
+    down = [(c, -rv) for c, rv in enumerate(last) if rv < 0]
+    fixed = [c for c, rv in enumerate(last) if rv == 0]
     out = []
-    for q in product(*(range(-qb, qb + 1) for qb in q_bounds)):
-        y = list(x)
-        for j, qj in enumerate(q):
-            if qj:
-                rj = rows[j]
-                y = [yv + qj * rv for yv, rv in zip(y, rj)]
-        if all(abs(v) <= radius for v in y):
-            out.append(tuple(y))
+    for y in starts:
+        if any(abs(y[c]) > radius for c in fixed):
+            continue
+        lo = max([-((radius + y[c]) // rv) for c, rv in up]
+                 + [-((radius - y[c]) // rv) for c, rv in down])
+        hi = min([(radius - y[c]) // rv for c, rv in up]
+                 + [(radius + y[c]) // rv for c, rv in down])
+        for qk in range(lo, hi + 1):
+            out.append(tuple([yv + qk * rv for yv, rv in zip(y, last)]))
     out.sort()
     return out

@@ -108,13 +108,16 @@ class IntegerInconsistent(AbsError):
 
     ``row`` names the failing equation, ``delta`` the gcd of the projected
     row, ``tau`` the residual that delta fails to divide. (delta, tau) is the
-    certificate: delta does not divide tau.
+    certificate: delta does not divide tau. ``report`` holds the partial
+    :class:`~absolve.diophantine.DioReport` (projector, deltas and
+    ``eq_status`` up to the failing row, ``x`` absent).
     """
 
-    def __init__(self, row, delta, tau):
+    def __init__(self, row, delta, tau, report=None):
         self.row = row
         self.delta = delta
         self.tau = tau
+        self.report = report
         super().__init__(
             f"equation {row}: gcd {delta} does not divide residual {tau}; "
             "no integer solution exists")

@@ -108,6 +108,38 @@ def _minor_gcd(matrix, k):
     return g
 
 
+def bezout_gcd(values):
+    """Greatest common divisor with a certificate combination.
+
+    The sort-and-fold loop that ``diophantine.bezout_gcd`` must
+    reproduce: re-sort by magnitude (stable, descending) before every
+    fold, fold the two largest into each other, and carry a dense
+    coefficient vector per live entry.
+    """
+    values = list(values)
+    m = len(values)
+    active = []  # (magnitude, coefficient vector)
+    for i, v in enumerate(values):
+        if v == 0:
+            continue
+        coeff = [0] * m
+        coeff[i] = 1 if v > 0 else -1
+        active.append([abs(v), coeff])
+    if not active:
+        return 0, [0] * m
+
+    while len(active) > 1:
+        active.sort(key=lambda e: e[0], reverse=True)
+        a, b = active[0], active[1]
+        q = a[0] // b[0]
+        a[0] -= q * b[0]
+        a[1] = [ca - q * cb for ca, cb in zip(a[1], b[1])]
+        if a[0] == 0:
+            active.pop(0)
+    g, z = active[0]
+    return g, z
+
+
 def integer_solvable(a, b):
     """Decide integer solvability by the classical minor-gcd test.
 

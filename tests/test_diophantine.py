@@ -28,6 +28,24 @@ def test_bezout_gcd_certificate(values):
     assert g >= 0
 
 
+@st.composite
+def bezout_values(draw):
+    """Lists with repeated magnitudes, +-v pairs and zeros, up to 2^200."""
+    bits = draw(st.sampled_from((1, 3, 8, 64, 200)))
+    entry = st.integers(-2 ** bits, 2 ** bits)
+    pool = draw(st.lists(entry, min_size=1, max_size=6))
+    reused = st.tuples(st.sampled_from(pool), st.sampled_from((1, -1))) \
+        .map(lambda t: t[0] * t[1])
+    return draw(st.lists(st.one_of(st.just(0), reused, entry),
+                         max_size=24))
+
+
+@settings(max_examples=400, deadline=None)
+@given(bezout_values())
+def test_bezout_gcd_equals_the_sort_and_fold_oracle(values):
+    assert diophantine.bezout_gcd(values) == oracles.bezout_gcd(values)
+
+
 def test_bezout_gcd_all_zero():
     g, z = diophantine.bezout_gcd([0, 0, 0])
     assert g == 0
@@ -63,6 +81,57 @@ def test_solvable_single_equation():
     x = rep.x
     assert all(isinstance(v, int) for v in x)
     assert 2 * x[0] + 4 * x[1] == 6
+
+
+def test_integer_obstruction_carries_the_partial_report():
+    # the last row is even and independent of the first two, its right
+    # side odd
+    a = [[1, 1, 1, 1], [0, 1, -1, 2], [2, 0, 4, 6]]
+    b = [4, 1, 3]
+    with pytest.raises(IntegerInconsistent) as exc:
+        diophantine.solve(a, b)
+    err = exc.value
+    assert (err.row, err.delta, err.tau) == (2, 8, -21)
+    assert str(err) == ("equation 2: gcd 8 does not divide residual -21; "
+                        "no integer solution exists")
+    rep = err.report
+    head = diophantine.solve(a[:2], b[:2])
+    assert rep.x is None
+    assert rep.eq_status == [diophantine.INDEPENDENT] * 2 \
+        + [diophantine.INTEGER_INCOMPATIBLE]
+    assert rep.rank == 2
+    assert rep.deltas == head.deltas
+    # the projector at the failing row: the one left by the rows before
+    assert rep.h == head.h
+    assert rep.matrix == a and rep.rhs == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(2, 6))
+def test_failure_report_matches_the_run_before_it(seed, m, n):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-4, 5, size=(m, n)).tolist()
+    x = rng.integers(-3, 4, size=n).tolist()
+    b = [sum(r[j] * x[j] for j in range(n)) for r in a]
+    a[-1] = [3 * v for v in a[-1]]
+    b[-1] = 3 * b[-1] + 1
+    # the last row is now unsolvable over the integers, or over the
+    # rationals too when it depends on the rows before it
+    with pytest.raises((IntegerInconsistent, IncompatibleSystem)) as exc:
+        diophantine.solve(a, b)
+    row = exc.value.row
+    status = (diophantine.INTEGER_INCOMPATIBLE
+              if exc.type is IntegerInconsistent
+              else diophantine.INCOMPATIBLE)
+    if row:
+        head = diophantine.solve(a[:row], b[:row])
+        before = (head.eq_status, head.rank, head.h, head.deltas)
+    else:
+        before = ([], 0, np.eye(n, dtype=int).tolist(), [])
+    rep = exc.value.report
+    assert rep.x is None
+    assert (rep.eq_status[:-1], rep.rank, rep.h, rep.deltas) == before
+    assert rep.eq_status[-1] == status
 
 
 def test_redundant_and_rational_incompatible_rows():
@@ -128,19 +197,34 @@ def test_general_solution_stays_on_the_solution_set():
         assert 2 * x[0] + 3 * x[1] + 5 * x[2] == 1
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1))
-def test_box_enumeration_matches_brute_force(seed):
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(((2, 3, 2, 4), (3, 5, 2, 3), (1, 4, 3, 3))),
+       st.data())
+def test_box_enumeration_matches_brute_force(seed, shape, data):
+    # 2x3 systems leave a lattice of dimension 1 (or more at lower rank),
+    # 3x5 systems one of dimension 2, 1x4 systems one of dimension 3
+    rows, cols, bound, max_radius = shape
+    radius = data.draw(st.integers(0, max_radius))
     rng = np.random.default_rng(seed)
-    a = rng.integers(-2, 3, size=(2, 3)).tolist()
-    x = rng.integers(-2, 3, size=3).tolist()
-    b = [sum(r[j] * x[j] for j in range(3)) for r in a]
-    try:
-        rep = diophantine.solve(a, b)
-    except IncompatibleSystem:
-        return
-    got = diophantine.solutions_in_box(rep, 4)
-    assert got == oracles.box_solutions(a, b, 4)
+    a = rng.integers(-bound, bound + 1, size=(rows, cols)).tolist()
+    x = rng.integers(-2, 3, size=cols).tolist()
+    b = [sum(r[j] * x[j] for j in range(cols)) for r in a]
+    rep = diophantine.solve(a, b)
+    got = diophantine.solutions_in_box(rep, radius)
+    assert got == oracles.box_solutions(a, b, radius)
+
+
+def test_box_with_a_long_first_parameter_range():
+    # the adjugate bounds of this lattice are wide; the old full-box
+    # enumeration took tens of seconds at radius 0
+    a = [[-3, 2, 2, -2, 2], [3, 1, -1, -1, -3], [-3, 0, 3, 2, 0]]
+    b = [-3, -1, 4]
+    rep = diophantine.solve(a, b)
+    assert len(diophantine._lattice_basis(rep.h)) == 2
+    for radius in (0, 1, 2, 3):
+        assert diophantine.solutions_in_box(rep, radius) \
+            == oracles.box_solutions(a, b, radius)
 
 
 @settings(max_examples=300, deadline=None)

@@ -24,9 +24,14 @@ Every run lasts ``BENCHMARK.json``'s ``run_seconds``.
   ``ilu``, ``huang``, ``mhuang`` and ``iqr`` strategies, ``gilu_solve``
   with unit seeds, ``numpy.linalg.solve``, and one
   ``core.subtract_outer`` call on an n x n matrix (``u = b``,
-  ``v = a[0]``), on regular systems with n=300 and n=600, in fresh
-  interpreters that alternate between the checkouts; each figure is the
-  fastest of a few repeats after a warm-up call.
+  ``v = a[0]``), on regular systems with n=300 and n=600. Under the key
+  ``dio`` it times the exact integer layer: ``bezout_gcd`` over every
+  certificate row that ``diophantine.solve`` meets on three n=16
+  ``kind="diophantine"`` systems, ``diophantine.solve`` on one system
+  each at n=8, 12 and 16, and ``solutions_in_box`` on a 3x5 system at
+  radius 3. The runs are in fresh interpreters that alternate between
+  the checkouts; each figure is the fastest of a few repeats after a
+  warm-up call.
 """
 
 import argparse
@@ -53,7 +58,7 @@ KERNEL = r"""
 import json, sys, time
 sys.path.insert(0, sys.argv[1])
 import numpy as np
-from absolve import core, problems, strategies
+from absolve import core, diophantine, problems, strategies
 
 solvers = {
     "packed_ilu_s": strategies.implicit_lu_solve,
@@ -65,20 +70,47 @@ solvers = {
     "lapack_s": np.linalg.solve,
     "subtract_outer_s": lambda a, b: core.subtract_outer(work, b, a[0]),
 }
+
+
+def best_of(call):
+    call()
+    times = []
+    for _ in range(int(sys.argv[3])):
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
 out = {}
 for n in map(int, sys.argv[2].split(",")):
     p = problems.generate(problems.ProblemSpec(kind="determined", n=n,
                                                seed=n))
     work = p.a.copy()
-    row = out[str(n)] = {}
-    for name, solve in solvers.items():
-        solve(p.a, p.b)
-        times = []
-        for _ in range(int(sys.argv[3])):
-            t0 = time.perf_counter()
-            solve(p.a, p.b)
-            times.append(time.perf_counter() - t0)
-        row[name] = min(times)
+    out[str(n)] = {name: best_of(lambda: solve(p.a, p.b))
+                   for name, solve in solvers.items()}
+
+
+def dio_system(n, seed):
+    p = problems.generate(problems.ProblemSpec(kind="diophantine", n=n,
+                                               seed=seed))
+    return p.a_int, p.b_int
+
+
+# the certificate rows: every s that solve hands to bezout_gcd
+rows, bezout = [], diophantine.bezout_gcd
+diophantine.bezout_gcd = lambda s: rows.append(list(s)) or bezout(s)
+for seed in (16, 17, 18):
+    diophantine.solve(*dio_system(16, seed))
+diophantine.bezout_gcd = bezout
+dio = out["dio"] = {"bezout_gcd_n16_s": best_of(
+    lambda: [bezout(s) for s in rows])}
+for n in (8, 12, 16):
+    system = dio_system(n, n)
+    dio[f"solve_n{n}_s"] = best_of(lambda: diophantine.solve(*system))
+box = diophantine.solve([[-2, 1, -1, 2, 2], [1, 0, -1, -2, 0],
+                         [-1, 2, 2, -2, 2]], [1, 4, 0])
+dio["box_3x5_s"] = best_of(lambda: diophantine.solutions_in_box(box, 3))
 print(json.dumps(out))
 """
 
