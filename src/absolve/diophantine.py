@@ -215,7 +215,7 @@ def solve(a, b, h1=None, x1=None):
     n = len(a[0]) if m else 0
 
     if h1 is None:
-        h = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        h = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
     else:
         h = _as_int_matrix(h1, "initial projector")
         if len(h) != n or (h and len(h[0]) != n):
@@ -302,8 +302,9 @@ def _lattice_basis(rows):
     the surviving rows are independent.
     """
     work = [list(r) for r in rows if any(r)]
-    if not work:
-        return []
+    if len(work) < 2:
+        # no row or one nonzero row: already a basis
+        return work
     n = len(work[0])
     done = 0
     for col in range(n):

@@ -56,7 +56,7 @@ def bezout_inputs():
     return inputs
 
 
-# the benchmark's unit builders, copied so that the grid stays fixed
+# the benchmark's unit constructors, copied so that the grid stays fixed
 # when the benchmark changes
 
 
