@@ -26,6 +26,7 @@ performs is added to the counter, including the arithmetic inside tolerance
 tests (norms and scale factors).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,99 +211,131 @@ def solve(a, b, strategy="huang", x1=None, tol=None, keep_iterates=False,
     # the current one shrinks to round-off as rows are absorbed, and
     # s = H y is bounded by it, so a live ||H|| can never flag anything
     h_ref = float(np.linalg.norm(state.h))
-    counter.add(n * n)
-
     norm_b = float(np.linalg.norm(b))
-    counter.add(m)
     # whole-system scale for the consistency test: a numerically zero row
     # of a derived system has y and b_i both at round-off, and comparing
     # noise against noise would turn it into a false contradiction
     a_ref = float(np.linalg.norm(a))
-    counter.add(m * n)
+    counter.add(n * n + m + m * n)
     eq_status = []
     iterates = [x.copy()] if keep_iterates else None
+    resolved = strategy.resolves_inconsistency
+    # Python floats: the same IEEE arithmetic as numpy scalars, without
+    # the scalar dispatch (as is ``u.dot(v)`` for ``u @ v`` on vectors)
+    b_list = b.tolist()
 
-    for i in range(m):
-        v = strategy.scaling(i, state)
-        if v is None:
-            # unit scaling: the scaled row is row i itself
-            y = a[i]
-            tau = float(y @ x - b[i])
-            counter.add(n)
-            v_norm = 1.0
-            b_scale = abs(b[i])
-            v_rec = i
-        else:
-            y = a.T @ v
-            r = a @ x - b
-            tau = float(v @ r)
-            counter.add(2 * m * n + m)
-            v_norm = float(np.linalg.norm(v))
-            b_scale = v_norm * norm_b
-            counter.add(m + 1)
-            v_rec = v
+    # The built-in hooks change h only through subtract_outer, which
+    # creates no -0.0 in a matrix that holds none, so one scan of the
+    # start projector answers subtract_outer's -0 question for the run.
+    strategy._no_negative_zero = not _holds_negative_zero(state.h)
+    # multiplies of the current step not yet added to the counter; the
+    # step adds them once, and an exception adds what was done
+    done = 0
+    try:
+        for i in range(m):
+            v = strategy.scaling(i, state)
+            if v is None:
+                # unit scaling: the scaled row is row i itself
+                y = a[i]
+                tau = float(y.dot(x)) - b_list[i]
+                done = n
+                v_norm = 1.0
+                b_scale = abs(b_list[i])
+                v_rec = i
+            else:
+                y = a.T @ v
+                r = a @ x - b
+                tau = float(v @ r)
+                v_norm = _norm(v)
+                b_scale = v_norm * norm_b
+                done = 2 * m * n + 2 * m + 1
+                v_rec = v
 
-        s = state.h @ y
-        counter.add(n * n)
-        y_norm = float(np.linalg.norm(y))
-        counter.add(n)
+            s = state.h @ y
+            y_norm = _norm(y)
+            done += n * n + n
 
-        test_vec, test_scale = strategy.classify_vector(i, state, s, y_norm,
-                                                        h_ref)
-        if float(np.linalg.norm(test_vec)) <= dep_tol * test_scale:
-            counter.add(n)
-            x_norm = float(np.linalg.norm(x))
-            counter.add(n)
-            resolved = strategy.resolves_inconsistency
-            res_scale = y_norm * x_norm + b_scale \
-                + v_norm * (a_ref * x_norm + norm_b)
-            if resolved or abs(tau) <= res_tol * (res_scale + 1e-300):
-                counter.add(1)
-                eq_status.append(REDUNDANT)
-                state.step += 1
-                if keep_iterates:
-                    iterates.append(x.copy())
-                continue
-            eq_status.append(INCOMPATIBLE)
-            partial = SolveReport(x=None, rank=len(state.pivots),
-                                  eq_status=eq_status, state=state,
-                                  mult_count=counter.mults,
-                                  residual_norm=None, iterates=iterates)
-            raise IncompatibleSystem(i, report=partial,
-                                     detail=f"scaled residual {tau:.3e}")
-        counter.add(n)
+            test_vec, test_scale = strategy.classify_vector(i, state, s,
+                                                            y_norm, h_ref)
+            done += n
+            test_norm = _norm(test_vec)
+            if test_norm <= dep_tol * test_scale:
+                x_norm = _norm(x)
+                done += n
+                res_scale = y_norm * x_norm + b_scale \
+                    + v_norm * (a_ref * x_norm + norm_b)
+                if resolved or abs(tau) <= res_tol * (res_scale + 1e-300):
+                    counter.add(done + 1)
+                    done = 0
+                    eq_status.append(REDUNDANT)
+                    state.step += 1
+                    if keep_iterates:
+                        iterates.append(x.copy())
+                    continue
+                counter.add(done)
+                done = 0
+                eq_status.append(INCOMPATIBLE)
+                partial = SolveReport(x=None, rank=len(state.pivots),
+                                      eq_status=eq_status, state=state,
+                                      mult_count=counter.mults,
+                                      residual_norm=None,
+                                      iterates=iterates)
+                raise IncompatibleSystem(i, report=partial,
+                                         detail=f"scaled residual {tau:.3e}")
 
-        z = strategy.direction_seed(i, state, s)
-        p = strategy.search_vector(i, state, s, z)
-        den = float(y @ p)
-        counter.add(n)
-        p_norm = float(np.linalg.norm(p))
-        counter.add(n)
-        strategy.validate_pivot(i, den, y_norm * p_norm, piv_tol)
-        if abs(den) <= piv_tol * y_norm * p_norm:
-            raise StrategyBreakdown(i, detail=f"pivot {den:.3e}")
+            z = strategy.direction_seed(i, state, s)
+            p = strategy.search_vector(i, state, s, z)
+            den = float(y.dot(p))
+            # most strategies test the search vector itself
+            p_norm = test_norm if p is test_vec else _norm(p)
+            done += 2 * n
+            strategy.validate_pivot(i, den, y_norm * p_norm, piv_tol)
+            if abs(den) <= piv_tol * y_norm * p_norm:
+                raise StrategyBreakdown(i, detail=f"pivot {den:.3e}")
 
-        alpha = tau / den
-        counter.add(1)
-        x -= alpha * p
-        counter.add(n)
+            alpha = tau / den
+            x -= alpha * p
+            done += n + 1
 
-        w = strategy.projection_seed(i, state, s, z)
-        strategy.update_h(state, s, w, p, den)
+            w = strategy.projection_seed(i, state, s, z)
+            strategy.update_h(state, s, w, p, den)
+            counter.add(done)
+            done = 0
 
-        state.p_cols.append(p.copy())
-        state.v_cols.append(v_rec)
-        state.pivots.append(den)
-        state.step += 1
-        eq_status.append(INDEPENDENT)
-        if keep_iterates:
-            iterates.append(x.copy())
+            state.p_cols.append(p.copy())
+            state.v_cols.append(v_rec)
+            state.pivots.append(den)
+            state.step += 1
+            eq_status.append(INDEPENDENT)
+            if keep_iterates:
+                iterates.append(x.copy())
+    except BaseException:
+        counter.add(done)
+        raise
+    finally:
+        # hooks called outside a run get subtract_outer's full check
+        strategy._no_negative_zero = False
 
     res = float(np.linalg.norm(a @ x - b))
     counter.add(m * n + m)
     return SolveReport(x=x, rank=len(state.pivots), eq_status=eq_status,
                        state=state, mult_count=counter.mults,
                        residual_norm=res, iterates=iterates)
+
+
+def _norm(v):
+    """``float(np.linalg.norm(v))`` of a 1-D float64 vector, bit for bit.
+
+    numpy takes the 2-norm of a vector as ``sqrt(x.dot(x))`` over
+    ``x.ravel('K')``, which for a contiguous vector is the vector itself,
+    so ``math.sqrt(v.dot(v))`` is the same number without the dispatch.
+    Any other input goes to numpy: a strided ``dot`` may sum in another
+    order than the contiguous copy that numpy's ravel makes.
+    """
+    if isinstance(v, np.ndarray) and v.ndim == 1 \
+            and v.dtype == np.float64 and v.flags.c_contiguous:
+        return math.sqrt(v.dot(v))
+    return float(np.linalg.norm(v))
 
 
 # Entries per temporary block of the row-block path of
@@ -329,13 +362,17 @@ def _holds_negative_zero(a):
     return a.size > 0 and int(a.view(np.int64).min()) == _NEGATIVE_ZERO_BITS
 
 
-def _gemm_is_exact(h, u, v):
+def _gemm_is_exact(h, u, v, no_negative_zero=False):
     """True when the k=1 ``dgemm`` update of ``h`` equals the unfused
     ``h - np.outer(u, v)`` bit for bit and runs in place."""
     if not (h.dtype == u.dtype == v.dtype == np.float64
             and h.flags.c_contiguous and h.flags.aligned
             and h.flags.writeable):
         return False  # f2py would work on a copy, or convert the inputs
+    # a sum of squares is finite only if every entry is (an inf or a NaN
+    # makes it inf or NaN); one that overflows takes the full test below
+    if no_negative_zero and math.isfinite(u.dot(u) + v.dot(v)):
+        return True
     mag_u, mag_v = np.abs(u), np.abs(v)
     # a NaN fails both comparisons
     if not (mag_u.max() < np.inf and mag_v.max() < np.inf):
@@ -346,7 +383,7 @@ def _gemm_is_exact(h, u, v):
     return not _holds_negative_zero(h)
 
 
-def subtract_outer(h, u, v):
+def subtract_outer(h, u, v, *, no_negative_zero=False):
     """In place ``h -= np.outer(u, v)``, bit for bit, without the n x n
     temporary.
 
@@ -374,11 +411,20 @@ def subtract_outer(h, u, v):
     starts without one keeps the BLAS path. Everything else takes the
     row-block path: the products are formed a block of rows at a time in
     a buffer of about ``OUTER_BLOCK`` entries and subtracted by numpy.
+
+    ``no_negative_zero=True`` states that ``h`` holds no -0.0, which the
+    caller knows from one check of the matrix its run started with
+    (:func:`solve` makes it once per run). The call then skips the tests
+    on the magnitudes of ``u`` and ``v`` and the scan of ``h``, and only
+    checks that ``u . u + v . v`` is finite: that fails on any inf or
+    NaN and, conservatively, on squares that overflow, which fall back
+    to the full check. A true statement changes no byte, only the time;
+    a false one can leave a -0 where the unfused expression gives +0.
     """
     rows, cols = h.shape
     if rows == 0 or cols == 0:
         return
-    if h.size >= BLAS_MIN and _gemm_is_exact(h, u, v):
+    if h.size >= BLAS_MIN and _gemm_is_exact(h, u, v, no_negative_zero):
         _dgemm(-1.0, v[:, None], u[None, :], beta=1.0, c=h.T,
                overwrite_c=True)
         return

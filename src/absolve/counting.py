@@ -1,10 +1,16 @@
 """Exact operation and storage accounting.
 
-Counters are incremented with the exact number of scalar multiplies (divides
-count as multiplies) that each vectorized numpy call performs, so reported
-totals equal what a scalar implementation of the same loop would do. Counts
+Counters hold the exact number of scalar multiplies (divides count as
+multiplies) that the vectorized numpy calls perform, so reported totals
+equal what a scalar implementation of the same loop would do. Counts
 include the arithmetic spent on tolerance tests (norms, scale factors); the
 documentation of each solver states this.
+
+A loop may add up a step's multiplies and increment the counter once per
+step, as the engine and the direction deflation do; it then adds what the
+step has done before any exception leaves it, so a partial report, or a
+counter the caller passed in, reads the same total as if each call had
+been counted as it ran.
 
 Counts are those of the formula a step evaluates, not of the entries the
 code happens to touch: a rank-one update of an n x n projector counts n^2

@@ -15,8 +15,10 @@ class IncompatibleSystem(AbsError):
     """A scaled equation is linearly dependent but has a nonzero residual.
 
     ``row`` is the 0-based index of the offending equation; ``report`` holds
-    the partial solve report (iterates up to the failure, ``x`` absent), or
-    None from :func:`absolve.matrixeq.solve`, which keeps no partial report.
+    the partial solve report (iterates up to the failure, ``x`` absent): a
+    :class:`~absolve.core.SolveReport` from the engine, a
+    :class:`~absolve.matrixeq.MatSolveReport` from
+    :func:`absolve.matrixeq.solve`.
     """
 
     def __init__(self, row, report=None, detail=""):

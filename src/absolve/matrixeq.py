@@ -98,14 +98,19 @@ class MatOperator:
 
 @dataclass
 class MatSolveReport:
-    """Outcome of a matrix-equation solve; mirrors the vector report."""
+    """Outcome of a matrix-equation solve; mirrors the vector report.
 
-    x: np.ndarray
+    A partial report, attached to
+    :class:`~absolve.errors.IncompatibleSystem`, has ``x`` and
+    ``residual_norm`` None and the rest as of the failing equation.
+    """
+
+    x: np.ndarray | None
     rank: int
     eq_status: list
     hop: MatOperator
     mult_count: int
-    residual_norm: float
+    residual_norm: float | None
     iterates: list | None = None
 
 
@@ -116,8 +121,8 @@ def solve(system, tol=None, keep_iterates=False, counter=None):
     defaults (seeds equal the equation matrices, identity start), so a
     zero start returns the least-Frobenius-norm solution. Raises
     :class:`~absolve.errors.IncompatibleSystem` on a contradictory
-    equation and :class:`~absolve.errors.StrategyBreakdown` on a vanishing
-    pivot.
+    equation, with the partial report attached, and
+    :class:`~absolve.errors.StrategyBreakdown` on a vanishing pivot.
     """
     n = system.n
     m = system.m
@@ -165,7 +170,11 @@ def solve(system, tol=None, keep_iterates=False, counter=None):
                     iterates.append(x.copy())
                 continue
             eq_status.append(core.INCOMPATIBLE)
-            raise IncompatibleSystem(k)
+            partial = MatSolveReport(x=None, rank=len(pivots),
+                                     eq_status=eq_status, hop=hop,
+                                     mult_count=counter.mults,
+                                     residual_norm=None, iterates=iterates)
+            raise IncompatibleSystem(k, report=partial)
         counter.add(nn)
 
         p = s  # seed Z_k = A_k through the running operator

@@ -22,6 +22,7 @@ solvers that exploit structure the generic loop cannot:
   runs the same loop on scaled rows.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,9 @@ class ParameterStrategy:
     """
 
     resolves_inconsistency = False
+    # set by core.solve for the length of a run when the start projector
+    # holds no -0.0; the updates pass it on to core.subtract_outer
+    _no_negative_zero = False
 
     def initial_h(self, n):
         return np.eye(n)
@@ -81,16 +85,16 @@ class ParameterStrategy:
     def update_h(self, state, s, w, p, den):
         self._oblique_update(state, s, w, w @ state.h)
 
-    @staticmethod
-    def _oblique_update(state, s, w, wh):
+    def _oblique_update(self, state, s, w, wh):
         """``H <- H - s (w^T H) / (w^T s)`` given ``wh = w^T H``."""
         den_w = float(w @ s)
         n = state.n
-        state.counter.add(n * n + n)
         if den_w == 0.0:
+            state.counter.add(n * n + n)
             raise DivisionByZero("projector update pivot w.H.y vanished")
-        core.subtract_outer(state.h, s, wh / den_w)
-        state.counter.add(n * n + n)
+        core.subtract_outer(state.h, s, wh / den_w,
+                            no_negative_zero=self._no_negative_zero)
+        state.counter.add(2 * (n * n + n))
 
 
 class HuangStrategy(ParameterStrategy):
@@ -109,7 +113,8 @@ class HuangStrategy(ParameterStrategy):
 
     def update_h(self, state, s, w, p, den):
         n = state.n
-        core.subtract_outer(state.h, s, s / den)
+        core.subtract_outer(state.h, s, s / den,
+                            no_negative_zero=self._no_negative_zero)
         state.counter.add(n * n + n)
 
 
@@ -142,11 +147,12 @@ class ModifiedHuangStrategy(ParameterStrategy):
     def update_h(self, state, s, w, p, den):
         n = state.n
         den_p = float(p @ p)
-        state.counter.add(n)
         if den_p == 0.0:
+            state.counter.add(n)
             raise DivisionByZero("reprojected direction vanished")
-        core.subtract_outer(state.h, p, p / den_p)
-        state.counter.add(n * n + n)
+        core.subtract_outer(state.h, p, p / den_p,
+                            no_negative_zero=self._no_negative_zero)
+        state.counter.add(n * n + 2 * n)
 
 
 def modified_huang_direction(state, row, tol=None):
@@ -190,15 +196,14 @@ class ImplicitLXStrategy(ParameterStrategy):
     """
 
     def begin(self, a):
-        self._used = set()
+        self._used = []
         self._k = None
 
     def direction_seed(self, i, state, s):
         scores = np.abs(s)
-        for k in self._used:
-            scores[k] = -1.0
+        scores[self._used] = -1.0
         k = int(np.argmax(scores))  # argmax ties break to the smallest index
-        self._used.add(k)
+        self._used.append(k)
         self._k = k
         e = np.zeros(state.n)
         e[k] = 1.0
@@ -217,7 +222,8 @@ class ImplicitLXStrategy(ParameterStrategy):
         t = s / pivot
         row = state.h[k].copy()
         lo = self._skip_rows(k, t, row)
-        core.subtract_outer(state.h[lo:], t[lo:], row)
+        core.subtract_outer(state.h[lo:], t[lo:], row,
+                            no_negative_zero=self._no_negative_zero)
         state.counter.add(n * n + n)
 
     def _skip_rows(self, k, t, row):
@@ -257,12 +263,14 @@ class ImplicitLUStrategy(ImplicitLXStrategy):
         # and the row is finite, which extends the block when k is its
         # next row (a redundant equation leaves its row nonzero, and the
         # block stops growing). A nonzero or NaN in t above the block, or
-        # a pivot row that is not finite, updates every row from then on.
-        # Below BLAS_MIN entries the checks cost more than the rows.
+        # a pivot row that is not finite, updates every row from then on
+        # (so does one whose squares overflow: the finiteness test is a
+        # sum of squares). Below BLAS_MIN entries the checks cost more
+        # than the rows.
         if t.size * row.size < core.BLAS_MIN:
             return 0
         lo = self._zero_rows
-        if t[:lo].any() or not np.isfinite(row).all():
+        if t[:lo].any() or not math.isfinite(row.dot(row)):
             self._zero_rows = 0
             return 0
         if k == lo and t[k] == 1.0:
@@ -640,38 +648,36 @@ def _deflate_directions(y, c, u, x, piv_tol, counter, iterates=None):
     # Entries of the trailing columns on rows past the last nonzero of
     # u_i would receive u_rj - (+-0), which leaves them as they are
     # unless u_rj is -0 or coeff is not finite. The update creates no -0
-    # where there is none, so one check of the seeds covers every step.
-    # Below BLAS_MIN entries the two numpy calls that find those rows
-    # cost more than updating them.
-    skip_zero_rows = u.size >= core.BLAS_MIN \
-        and not core._holds_negative_zero(u)
+    # where there is none, so one check of the seeds covers every step,
+    # and subtract_outer is told so. Below BLAS_MIN entries the two numpy
+    # calls that find those rows cost more than updating them.
+    clean = u.size >= core.BLAS_MIN and not core._holds_negative_zero(u)
     for i in range(m):
         row = y[i]
         ui = u[:, i]
         den = float(row @ ui)
-        counter.add(n)
-        row_norm = float(np.linalg.norm(row))
-        ui_norm = float(np.linalg.norm(ui))
-        counter.add(2 * n)
+        row_norm = core._norm(row)
+        ui_norm = core._norm(ui)
         if abs(den) <= piv_tol * row_norm * ui_norm:
+            counter.add(3 * n)
             raise StrategyBreakdown(
                 i, detail=f"direction pivot {den:.3e} vanishes")
         tau = float(row @ x) - float(c[i])
-        counter.add(n)
         alpha = tau / den
-        counter.add(1)
         x -= alpha * ui
-        counter.add(n)
+        done = 5 * n + 1
         if i + 1 < m:
             coeff = (row @ u[:, i + 1:]) / den
-            counter.add(n * (m - i - 1) + (m - i - 1))
             rows = n
-            if skip_zero_rows and coeff.size * n >= core.BLAS_MIN \
-                    and np.isfinite(coeff).all():
+            # a sum of squares is finite only if every entry is
+            if clean and coeff.size * n >= core.BLAS_MIN \
+                    and math.isfinite(coeff.dot(coeff)):
                 nonzero = np.flatnonzero(ui)
                 rows = int(nonzero[-1]) + 1 if nonzero.size else 0
-            core.subtract_outer(u[:rows, i + 1:], ui[:rows], coeff)
-            counter.add(n * (m - i - 1))
+            core.subtract_outer(u[:rows, i + 1:], ui[:rows], coeff,
+                                no_negative_zero=clean)
+            done += (2 * n + 1) * (m - i - 1)
+        counter.add(done)
         p_out.append(ui.copy())
         pivots.append(den)
         if iterates is not None:

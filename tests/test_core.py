@@ -282,6 +282,121 @@ def test_subtract_outer_updates_a_column_slice_in_its_parent(dgemm_calls):
     assert dgemm_calls == []
 
 
+@pytest.mark.parametrize("signed_zeros", (False, True))
+def test_subtract_outer_on_the_callers_negative_zero_fact(signed_zeros,
+                                                          dgemm_calls):
+    rng = np.random.default_rng(37)
+    h, u, v = _near_cancellation(rng, 300, 300)
+    if signed_zeros:
+        # products of exactly -0, and no -0 in h, as the caller promises
+        h, u, v = _with_zeros(rng, h, u, v)
+        assert np.signbit(np.outer(u, v)[h == 0.0]).any()
+    assert not core._holds_negative_zero(h)
+    expected = h - np.outer(u, v)
+    core.subtract_outer(h, u, v, no_negative_zero=True)
+    assert h.tobytes() == expected.tobytes()
+    assert dgemm_calls == [(300, 300)]
+
+
+@pytest.mark.parametrize("bad", (np.inf, -np.inf, np.nan))
+def test_subtract_outer_falls_back_on_nonfinite_input_despite_the_fact(
+        bad, dgemm_calls):
+    rng = np.random.default_rng(38)
+    h, u, v = _near_cancellation(rng, 300, 300)
+    v[5] = 0.0  # inf * 0 is NaN
+    u[17] = bad
+    with np.errstate(invalid="ignore"):
+        expected = h - np.outer(u, v)
+        core.subtract_outer(h, u, v, no_negative_zero=True)
+    assert h.tobytes() == expected.tobytes()
+    assert dgemm_calls == []
+
+
+def test_subtract_outer_falls_back_when_the_squares_overflow(dgemm_calls):
+    # finite entries whose squares overflow fail the cheap finiteness
+    # test; the full check then finds the inputs finite and takes BLAS
+    rng = np.random.default_rng(39)
+    h, u, v = _near_cancellation(rng, 300, 300)
+    u[3] = 1e200
+    expected = h - np.outer(u, v)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(u.dot(u))
+        core.subtract_outer(h, u, v, no_negative_zero=True)
+    assert h.tobytes() == expected.tobytes()
+    assert dgemm_calls == [(300, 300)]
+
+
+@pytest.fixture
+def negative_zero_scans(monkeypatch):
+    """Counts the calls of :func:`core._holds_negative_zero`."""
+    calls = []
+    real = core._holds_negative_zero
+
+    def counting(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(core, "_holds_negative_zero", counting)
+    return calls
+
+
+def test_engine_scans_the_start_projector_once(negative_zero_scans):
+    from absolve import problems, strategies
+    from test_engine_frozen import _negative_zero_eye
+    n = 300
+    p = problems.generate(problems.ProblemSpec(kind="determined", n=n,
+                                               seed=3))
+    # the pivot rows of ilu hold exact zeros, so without the fact each
+    # BLAS update would scan the whole projector
+    rep = core.solve(p.a, p.b, strategy="ilu")
+    assert rep.rank == n
+    assert len(negative_zero_scans) <= 1
+    # a start projector with -0.0 keeps the full check on every update
+    negative_zero_scans.clear()
+    strategy = strategies.GiluStrategy(_negative_zero_eye(n))
+    core.solve(p.a, p.b, strategy=strategy)
+    assert len(negative_zero_scans) > n // 2
+    # and the fact ends with the run
+    assert strategy._no_negative_zero is False
+
+
+def test_breakdown_leaves_the_steps_multiplies_on_the_counter():
+    # ilu on a zero leading minor: setup n^2 + m + m n = 10, then row 0's
+    # residual 2, projection 4, row norm 2, dependency test 2, pivot 2
+    # and direction norm 2 before the pivot check fails
+    counter = OpCounter()
+    with pytest.raises(StrategyBreakdown):
+        core.solve(np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(2),
+                   strategy="ilu", counter=counter)
+    assert counter.mults == 24
+
+
+_NORM_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                  1e154, -1.3e154, 1.7976931348623157e308, np.inf, -np.inf,
+                  np.nan)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True,
+                                    allow_subnormal=True),
+                          st.sampled_from(_NORM_SPECIALS)),
+                max_size=70),
+       st.integers(-3, 3).filter(bool), st.integers(0, 2))
+def test_norm_helper_is_numpys_vector_norm(values, stride, offset):
+    base = np.array(values, dtype=float)
+    # the same values contiguous and as a strided view into a buffer
+    buf = np.full(offset + max(len(values), 1) * abs(stride), 0.5)
+    view = buf[offset::stride] if stride > 0 else buf[::stride]
+    view = view[:len(values)]
+    view[:] = base
+    for v in (base, view):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = float(np.linalg.norm(v))
+            got = core._norm(v)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_implicit_factorization_reconstructs_the_inverse():
     rng = np.random.default_rng(33)
     a = rng.standard_normal((6, 6)) + 6 * np.eye(6)

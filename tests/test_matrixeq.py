@@ -55,6 +55,40 @@ def test_incompatible_matrix_equation():
     assert exc.value.row == 1
 
 
+def test_incompatible_matrix_equation_carries_the_partial_report():
+    # four independent equations on 3 x 3 matrices, then the sum of the
+    # first two with a right-hand side off by one
+    rng = np.random.default_rng(41)
+    n = 3
+    terms = [rng.standard_normal((n, n)) for _ in range(4)]
+    terms.append(terms[0] + terms[1])
+    rhs = np.array([matrixeq.trace_dot(t, rng.standard_normal((n, n)))
+                    for t in terms[:4]])
+    consistent = np.append(rhs, rhs[0] + rhs[1])
+    planted = np.append(rhs, rhs[0] + rhs[1] + 1.0)
+    with pytest.raises(IncompatibleSystem) as exc:
+        matrixeq.solve(matrixeq.MatrixSystem(terms, planted),
+                       keep_iterates=True)
+    assert exc.value.row == 4
+    partial = exc.value.report
+    assert partial.x is None and partial.residual_norm is None
+    assert partial.rank == 4
+    assert partial.eq_status == [core.INDEPENDENT] * 4 + [core.INCOMPATIBLE]
+
+    # up to the failing row the run is the consistent one
+    full = matrixeq.solve(matrixeq.MatrixSystem(terms, consistent),
+                          keep_iterates=True)
+    assert full.eq_status[-1] == core.REDUNDANT
+    assert partial.hop.flat.tobytes() == full.hop.flat.tobytes()
+    assert len(partial.iterates) == 5
+    for got, want in zip(partial.iterates, full.iterates):
+        assert got.tobytes() == want.tobytes()
+    # the consistent run also counts the redundant verdict and the final
+    # residual, m n^2 + m multiplies
+    m, nn = len(terms), n * n
+    assert partial.mult_count == full.mult_count - 1 - (m * nn + m)
+
+
 def test_redundant_matrix_equation():
     terms = [np.eye(2), 2.0 * np.eye(2)]
     rhs = np.array([1.0, 2.0])

@@ -1,7 +1,8 @@
 """Compare two source checkouts of absolve and record the result.
 
     python tools/bench_compare.py pairs  --parent P --change C --out B.json
-    python tools/bench_compare.py trace  --parent P --change C --out B.json
+    python tools/bench_compare.py trace  --parent P --change C --out B.json \
+        [--workload W]
     python tools/bench_compare.py kernel --parent P --change C --out B.json
 
 Each checkout is a directory with ``src/``, ``perfbench/`` and
@@ -15,16 +16,17 @@ its ``environment`` record, and leaves the others as they are.
   quartiles, the pairs the change wins, and whether a gain can be
   claimed (wins in at least nine tenths of the pairs and medians further
   apart than the parent's interquartile range).
-* ``trace`` makes traced runs of the ``dense-large`` workload, in pairs
-  that alternate the checkouts, and records every run's per-layer
-  metrics and each side's medians.
+* ``trace`` makes traced runs of one workload (``--workload``, by
+  default ``dense-large``), in pairs that alternate the checkouts, and
+  records every run's per-layer metrics and each side's medians.
 
 Every run lasts ``BENCHMARK.json``'s ``run_seconds``.
 * ``kernel`` times the packed ``implicit_lu_solve``, the engine's
   ``ilu``, ``huang``, ``mhuang`` and ``iqr`` strategies, ``gilu_solve``
   with unit seeds, ``numpy.linalg.solve``, and one
   ``core.subtract_outer`` call on an n x n matrix (``u = b``,
-  ``v = a[0]``), on regular systems with n=300 and n=600. Under the key
+  ``v = a[0]``), on regular systems with n=100, 150, 200, 300 and 600: at
+  the three smaller sizes per-step dispatch weighs most. Under the key
   ``dio`` it times the exact integer layer: ``bezout_gcd`` over every
   certificate row that ``diophantine.solve`` meets on three n=16
   ``kind="diophantine"`` systems, ``diophantine.solve`` on one system
@@ -46,12 +48,12 @@ THREAD_VARS = ("ABS_SOLVE_THREADS", "OMP_NUM_THREADS",
                "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
 
-# the workload of the traced runs
+# the default workload of the traced runs
 TRACE_WORKLOAD = "dense-large"
 
 # the kernel timings: system sizes, fresh interpreters per checkout, timed
 # repeats per solver after one warm-up call
-KERNEL_SIZES = (300, 600)
+KERNEL_SIZES = (100, 150, 200, 300, 600)
 KERNEL_PROCESSES = 10
 KERNEL_REPEATS = 3
 KERNEL = r"""
@@ -213,13 +215,13 @@ def cmd_trace(args, sides, spec):
     runs = {label: [] for label, _ in sides}
     for k in range(args.pairs):
         for label, checkout in (sides if k % 2 == 0 else sides[::-1]):
-            runs[label].append(run_bench(checkout, TRACE_WORKLOAD,
+            runs[label].append(run_bench(checkout, args.workload,
                                          args.seed + k, spec["run_seconds"],
                                          1)["metrics"])
     median = {label: {name: statistics.median(r[name] for r in rs)
                       for name in rs[0]}
               for label, rs in runs.items()}
-    update(args.out, "trace", {"workload": TRACE_WORKLOAD,
+    update(args.out, "trace", {"workload": args.workload,
                                "pairs": args.pairs, "median": median,
                                "runs": runs})
 
@@ -257,6 +259,8 @@ def main(argv=None):
     parser.add_argument("--out", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=601)
+    parser.add_argument("--workload", default=TRACE_WORKLOAD,
+                        help="workload of the traced runs (trace only)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("quartiles need at least two pairs")
