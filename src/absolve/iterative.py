@@ -139,10 +139,15 @@ def recursive_solve(a, b, x1=None, v=None, z=None, h1=None, tol=None,
     Takes one projection step per equation along a direction that has
     been deflated against every earlier equation in the scaled pairing.
     ``v`` and ``z`` supply scaling and seed columns (defaults: unit
-    scalings and the rows of A as seeds, also when ``v`` is given);
-    ``h1`` replaces the identity start of the direction seeds. The
-    produced iterates match the core engine run with the same
-    parameters and update seeds equal to the direction seeds.
+    scalings and the scaled rows ``A^T v_k`` as seeds, which are the
+    rows of A under unit scalings); ``h1`` replaces the identity start
+    of the direction seeds. The produced iterates match the core engine
+    run with the same parameters and update seeds equal to the direction
+    seeds, as :class:`~absolve.strategies.GeneralStrategy` chooses them
+    by default. From the identity start the pivot of step k is then
+    ``y_k^T H y_k = |H y_k|^2``, with ``H`` the symmetric projector of
+    the earlier scaled rows ``y``, which cannot vanish on an independent
+    row; raw-row seeds under general scalings give no such guarantee.
 
     The sweep is the right-looking loop of
     :func:`absolve.strategies.gilu_solve` run on the scaled rows
@@ -159,12 +164,6 @@ def recursive_solve(a, b, x1=None, v=None, z=None, h1=None, tol=None,
     _, _, piv_tol = (tol or core.Tolerances()).resolve(n)
     counter = OpCounter()
 
-    seeds = a.T if z is None else np.asarray(z, dtype=float)
-    if h1 is None:
-        u = seeds.copy()
-    else:
-        u = np.asarray(h1, dtype=float).T @ seeds
-        counter.add(m * n * n)
     if v is None:
         y, c = a, b
     else:
@@ -172,6 +171,12 @@ def recursive_solve(a, b, x1=None, v=None, z=None, h1=None, tol=None,
         y = v.T @ a
         c = v.T @ b
         counter.add(m * m * n + m * m)
+    seeds = y.T if z is None else np.asarray(z, dtype=float)
+    if h1 is None:
+        u = seeds.copy()
+    else:
+        u = np.asarray(h1, dtype=float).T @ seeds
+        counter.add(m * n * n)
 
     x = np.zeros(n) if x1 is None else np.array(x1, dtype=float)
     iterates = [x.copy()] if keep_iterates else None

@@ -117,7 +117,7 @@ def _format_entry(value, kind):
     return repr(float(value))
 
 
-def write_matrix(path, values, kind="real", comment=None):
+def write_matrix(path, values, kind="real"):
     """Write a matrix (or 1-D vector, stored as a column) to ``path``."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
@@ -127,10 +127,7 @@ def write_matrix(path, values, kind="real", comment=None):
     if arr.ndim != 2:
         raise ValueError("only matrices and vectors can be written")
     rows, cols = arr.shape
-    lines = []
-    if comment:
-        lines.append(f"% {comment}")
-    lines.append(f"{rows} {cols} {kind}")
+    lines = [f"{rows} {cols} {kind}"]
     for i in range(rows):
         lines.append(" ".join(_format_entry(v, kind) for v in arr[i]))
     with open(path, "w", encoding="ascii") as fh:

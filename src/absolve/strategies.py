@@ -22,7 +22,6 @@ solvers that exploit structure the generic loop cannot:
   runs the same loop on scaled rows.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,10 +188,12 @@ class ImplicitLXStrategy(ParameterStrategy):
     are exactly zero in later projected rows, so each index is picked at
     most once.
 
-    The update zeroes row k of the projector, but the zeroed rows are
-    scattered over the matrix, so every step updates all n rows; the
-    implicit LU subclass, whose zero rows form a leading block, skips
-    them.
+    The update zeroes row k of the projector, and a zeroed row stays
+    zero, with ``s`` +-0 there. :func:`absolve.core.subtract_outer`
+    leaves out such rows where they reach an end of the matrix. Here
+    they are scattered, so most steps update nearly all n rows; in the
+    implicit LU subclass they form a leading block that later updates
+    skip.
     """
 
     def begin(self, a):
@@ -219,16 +220,9 @@ class ImplicitLXStrategy(ParameterStrategy):
         if pivot == 0.0:
             raise DivisionByZero("pivot component of the projected row is 0")
         # dividing on the s side zeroes row k exactly (s_k/s_k == 1)
-        t = s / pivot
-        row = state.h[k].copy()
-        lo = self._skip_rows(k, t, row)
-        core.subtract_outer(state.h[lo:], t[lo:], row,
+        core.subtract_outer(state.h, s / pivot, state.h[k].copy(),
                             no_negative_zero=self._no_negative_zero)
         state.counter.add(n * n + n)
-
-    def _skip_rows(self, k, t, row):
-        """Leading rows of the update that would come out unchanged."""
-        return 0
 
 
 class ImplicitLUStrategy(ImplicitLXStrategy):
@@ -247,35 +241,12 @@ class ImplicitLUStrategy(ImplicitLXStrategy):
         if m > n:
             raise UnsupportedShape(
                 f"implicit LU needs m <= n, got {m} rows, {n} columns")
-        self._zero_rows = 0
 
     def direction_seed(self, i, state, s):
         self._k = i
         e = np.zeros(state.n)
         e[i] = 1.0
         return e
-
-    def _skip_rows(self, k, t, row):
-        # Rows 0.._zero_rows-1 of the projector are exactly +0. There the
-        # product t_r * row_j is +-0 when t_r is +-0 and the pivot row is
-        # finite, and +0 - (+-0) is +0, so the update would leave them as
-        # they are. Row k itself becomes row - 1 * row = +0 when t_k is 1
-        # and the row is finite, which extends the block when k is its
-        # next row (a redundant equation leaves its row nonzero, and the
-        # block stops growing). A nonzero or NaN in t above the block, or
-        # a pivot row that is not finite, updates every row from then on
-        # (so does one whose squares overflow: the finiteness test is a
-        # sum of squares). Below BLAS_MIN entries the checks cost more
-        # than the rows.
-        if t.size * row.size < core.BLAS_MIN:
-            return 0
-        lo = self._zero_rows
-        if t[:lo].any() or not math.isfinite(row.dot(row)):
-            self._zero_rows = 0
-            return 0
-        if k == lo and t[k] == 1.0:
-            self._zero_rows = lo + 1
-        return lo
 
     def validate_pivot(self, i, den, scale, piv_tol):
         if abs(den) <= piv_tol * scale:
@@ -478,7 +449,7 @@ class CompactLUWorkspace:
     n: int
 
 
-def implicit_lu_solve(a, b, tol=None, keep_factors=True, counter=None):
+def implicit_lu_solve(a, b, tol=None, counter=None):
     """Solve a regular square system by projection, storing only the
     nonzero projector block.
 
@@ -541,8 +512,7 @@ def implicit_lu_solve(a, b, tol=None, keep_factors=True, counter=None):
         counter.add(i)
         x[i] = -alpha
 
-        if keep_factors:
-            p_out.append(np.append(heads, 1.0))  # output, not metered
+        p_out.append(np.append(heads, 1.0))  # output, not metered
         pivots.append(d)
 
         if i < n - 1:
@@ -645,13 +615,10 @@ def _deflate_directions(y, c, u, x, piv_tol, counter, iterates=None):
     m, n = y.shape
     p_out = []
     pivots = []
-    # Entries of the trailing columns on rows past the last nonzero of
-    # u_i would receive u_rj - (+-0), which leaves them as they are
-    # unless u_rj is -0 or coeff is not finite. The update creates no -0
-    # where there is none, so one check of the seeds covers every step,
-    # and subtract_outer is told so. Below BLAS_MIN entries the two numpy
-    # calls that find those rows cost more than updating them.
-    clean = u.size >= core.BLAS_MIN and not core._holds_negative_zero(u)
+    # The update creates no -0 where there is none, so one check of the
+    # seeds tells subtract_outer for every step that it may leave out
+    # the rows at either end where u_i is +-0.
+    clean = not core._holds_negative_zero(u)
     for i in range(m):
         row = y[i]
         ui = u[:, i]
@@ -668,13 +635,7 @@ def _deflate_directions(y, c, u, x, piv_tol, counter, iterates=None):
         done = 5 * n + 1
         if i + 1 < m:
             coeff = (row @ u[:, i + 1:]) / den
-            rows = n
-            # a sum of squares is finite only if every entry is
-            if clean and coeff.size * n >= core.BLAS_MIN \
-                    and math.isfinite(coeff.dot(coeff)):
-                nonzero = np.flatnonzero(ui)
-                rows = int(nonzero[-1]) + 1 if nonzero.size else 0
-            core.subtract_outer(u[:rows, i + 1:], ui[:rows], coeff,
+            core.subtract_outer(u[:, i + 1:], ui, coeff,
                                 no_negative_zero=clean)
             done += (2 * n + 1) * (m - i - 1)
         counter.add(done)

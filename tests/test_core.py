@@ -293,9 +293,13 @@ def test_subtract_outer_on_the_callers_negative_zero_fact(signed_zeros,
         assert np.signbit(np.outer(u, v)[h == 0.0]).any()
     assert not core._holds_negative_zero(h)
     expected = h - np.outer(u, v)
+    # the fact lets the update leave out the +-0 rows at either end of u
+    nonzero = np.flatnonzero(u)
+    rows = int(nonzero[-1]) - int(nonzero[0]) + 1
+    assert (rows < 300) == signed_zeros
     core.subtract_outer(h, u, v, no_negative_zero=True)
     assert h.tobytes() == expected.tobytes()
-    assert dgemm_calls == [(300, 300)]
+    assert dgemm_calls == [(300, rows)]
 
 
 @pytest.mark.parametrize("bad", (np.inf, -np.inf, np.nan))
@@ -324,6 +328,77 @@ def test_subtract_outer_falls_back_when_the_squares_overflow(dgemm_calls):
         core.subtract_outer(h, u, v, no_negative_zero=True)
     assert h.tobytes() == expected.tobytes()
     assert dgemm_calls == [(300, 300)]
+
+
+def _zero_runs(draw, rng, size):
+    """A full-mantissa vector with runs of +-0 at its start, at its end
+    and inside, or all +-0."""
+    u = _full_mantissa(rng, size)
+    if draw(st.booleans()):
+        lead = draw(st.integers(0, size))
+        trail = draw(st.integers(0, size - lead))
+        runs = [(0, lead), (size - trail, size)]
+        for _ in range(draw(st.integers(0, 3))):
+            start = draw(st.integers(0, size - 1))
+            runs.append((start, start + draw(st.integers(1, 5))))
+        for r0, r1 in runs:
+            u[r0:r1] = rng.choice([-0.0, 0.0], len(u[r0:r1]))
+    else:
+        u[:] = rng.choice([-0.0, 0.0], size)
+    return u
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_subtract_outer_row_skip_is_the_unfused_update(data):
+    draw = data.draw
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # both sides of BLAS_MIN, and enough rows for long zero runs
+    rows = draw(st.integers(1, 120))
+    cols = draw(st.sampled_from((1, 7, 33, 64, 100)))
+    u = _zero_runs(draw, rng, rows)
+    v = _full_mantissa(rng, cols)
+    for bad in draw(st.lists(st.sampled_from((np.inf, -np.inf, np.nan)),
+                             max_size=2)):
+        v[rng.integers(cols)] = bad
+    if draw(st.booleans()):
+        v[rng.integers(cols)] = draw(st.sampled_from((0.0, -0.0)))
+    fact = draw(st.booleans())
+    h = _full_mantissa(rng, (rows, cols))
+    # zeros (-0 only where no fact is stated), and an inf or a NaN
+    h[rng.random((rows, cols)) < 0.2] = 0.0 if fact else -0.0
+    h[rng.random((rows, cols)) < 0.2] = 0.0
+    h[rng.random((rows, cols)) < 0.01] = draw(
+        st.sampled_from((np.inf, -np.inf, np.nan)))
+    parent = h
+    if draw(st.booleans()):
+        # gilu deflates a column slice of its seed matrix
+        parent = np.hstack([rng.standard_normal((rows, 3)), h])
+        h = parent[:, 3:]
+    assert fact <= (not core._holds_negative_zero(h))
+    before = parent[:, :parent.shape[1] - cols].copy()
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = h - np.outer(u, v)
+        core.subtract_outer(h, u, v, no_negative_zero=fact)
+    assert h.tobytes() == expected.tobytes()
+    assert np.array_equal(np.signbit(h), np.signbit(expected))
+    assert parent[:, :parent.shape[1] - cols].tobytes() == before.tobytes()
+
+
+def test_engine_ilu_updates_only_the_rows_below_its_zero_block(dgemm_calls):
+    from absolve import problems
+    n = 300
+    p = problems.generate(problems.ProblemSpec(kind="determined", n=n,
+                                               seed=3))
+    # step k has zeroed rows 0..k-1, and the update of the other n - k
+    # rows is one dgemm, down to the last row
+    core.solve(p.a, p.b, strategy="ilu")
+    assert dgemm_calls == [(n, rows) for rows in range(n, 0, -1)]
+    # the dense updates of huang, mhuang and iqr keep every row
+    for method in ("huang", "mhuang", "iqr"):
+        dgemm_calls.clear()
+        core.solve(p.a, p.b, strategy=method)
+        assert dgemm_calls == [(n, n)] * n
 
 
 @pytest.fixture

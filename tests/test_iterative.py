@@ -58,10 +58,9 @@ def test_recursive_solve_matches_the_engine_iterate_by_iterate(given):
               "x1": rng.standard_normal(n)}
     kw = {k: params[k] for k in given}
     rec = iterative.recursive_solve(a, b, keep_iterates=True, **kw)
-    # the recursion seeds on the rows of A unless z is given
-    z = kw.get("z", a.T)
-    general = strategies.GeneralStrategy(v=kw.get("v"), z=z, w=z,
-                                         h1=kw.get("h1"))
+    # both default to the scaled rows A^T v_k as seeds
+    general = strategies.GeneralStrategy(v=kw.get("v"), z=kw.get("z"),
+                                         w=kw.get("z"), h1=kw.get("h1"))
     eng = core.solve(a, b, strategy=general, x1=kw.get("x1"),
                      keep_iterates=True)
     assert len(rec.iterates) == len(eng.iterates) == n + 1

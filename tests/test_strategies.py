@@ -75,9 +75,10 @@ def _sprinkle(rng, a, rate, values):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_implicit_lu_update_equals_the_full_update(seed):
-    # update_h leaves out the leading rows it has zeroed; for any s, any
-    # start and any order of pivot rows it must still give
-    # h - outer(s / s_k, h_k), bit for bit
+    # for any s, any start and any order of pivot rows update_h gives
+    # h - outer(s / s_k, h_k), bit for bit; called outside a run it has
+    # no -0 fact, so subtract_outer updates every row (the row skip of a
+    # run is tested in test_core)
     rng = np.random.default_rng(seed)
     n = 80
     h = rng.standard_normal((n, n))

@@ -33,7 +33,10 @@ Every run lasts ``BENCHMARK.json``'s ``run_seconds``.
   each at n=8, 12 and 16, and ``solutions_in_box`` on a 3x5 system at
   radius 3. The runs are in fresh interpreters that alternate between
   the checkouts; each figure is the fastest of a few repeats after a
-  warm-up call.
+  warm-up call. Besides each side's median, fastest and slowest process,
+  the summary records under ``wins``, for each size and solver, in how
+  many of the back-to-back process pairs the change was faster, so a
+  kernel comparison can be read by the nine-in-ten rule of ``pairs``.
 """
 
 import argparse
@@ -246,6 +249,12 @@ def cmd_kernel(args, sides, spec):
                        "max": max(p[n][name] for p in procs)}
                 for name in procs[0][n]}
             for n in procs[0]}
+    # process k of each side ran back to back: one pair
+    pairs = list(zip(runs["parent"], runs["change"]))
+    summary["wins"] = {
+        n: {name: sum(c[n][name] < p[n][name] for p, c in pairs)
+            for name in names}
+        for n, names in pairs[0][0].items()}
     update(args.out, "kernel", {"processes": KERNEL_PROCESSES,
                                 "repeats": KERNEL_REPEATS,
                                 "summary": summary, "runs": runs})
