@@ -14,9 +14,10 @@ excluded unless ``--times wall`` asks for them.
 """
 
 import argparse
+import functools
 import sys
 
-from . import matfile, problems
+from . import core, matfile, problems
 from .errors import AbsError, IncompatibleSystem, IntegerInconsistent
 
 EXIT_OK = 0
@@ -116,10 +117,13 @@ def cmd_solve(args):
         return _fail("kt methods need --kt-m to split the assembled matrix",
                      EXIT_USAGE)
 
+    tol = None
+    if args.tol is not None:
+        tol = core.Tolerances(dependency=args.tol, pivot=args.tol)
     try:
         x, rank, _ = problems.run_method(
             args.method, mat.values, rhs.values, a_int=mat.ints,
-            b_int=rhs.ints, kt_m=args.kt_m, tol=args.tol)
+            b_int=rhs.ints, kt_m=args.kt_m, tol=tol)
     except IntegerInconsistent as exc:
         return _fail(f"equation {exc.row}: integerly inconsistent "
                      f"(gcd {exc.delta} does not divide residual {exc.tau})",
@@ -138,8 +142,7 @@ def cmd_solve(args):
     if args.out:
         matfile.write_matrix(args.out, x, kind="real")
     else:
-        for value in x:
-            print(repr(float(value)))
+        sys.stdout.write("".join([f"{float(v)!r}\n" for v in x.tolist()]))
     return EXIT_OK
 
 
@@ -231,8 +234,17 @@ def cmd_bench(args):
     return EXIT_OK
 
 
+@functools.cache
+def _parser():
+    # Building the parser costs several times a parse_args call on it.
+    # parse_args keeps nothing from one call to the next: it returns a
+    # fresh Namespace, and help and usage text is formatted, at the
+    # terminal width of the moment, when it is printed.
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "solve":
         return cmd_solve(args)
     return cmd_bench(args)

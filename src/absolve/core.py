@@ -341,12 +341,30 @@ def _norm(v):
 # engine's updates at n=300 and 600; smaller ones ran slower.
 OUTER_BLOCK = 32768
 
-# Fewest entries of ``h`` for which :func:`subtract_outer` calls BLAS.
-# The BLAS path costs about 13 us of call overhead; with one BLAS thread
-# the two paths ran equally fast between 48 x 48 and 64 x 64, and BLAS
-# about 1.5x faster at 100 x 100 and 2.9x at 600 x 600 (1.8x when the
-# -0.0 scan runs).
+# Fewest entries of ``h`` for which :func:`subtract_outer` calls BLAS
+# when the caller states no -0 fact; with the fact it calls BLAS at any
+# size. With one BLAS thread on a 2-vCPU Xeon VM (fastest decile of
+# 2000 calls): with the fact, the dgemm path takes 3.8, 3.7, 4.0 and
+# 4.2 us at 1 x 1, 8 x 8, 24 x 24 and 40 x 40 against 4.1, 4.5, 5.6 and
+# 7.5 us for the row blocks; without it, the full exactness test adds
+# about 5 us, the row blocks are faster up to 48 x 48 and 40 x 100, the
+# two paths ran equally fast at 64 x 64 and 80 x 80, and BLAS 1.4-1.6x
+# faster at 100 x 100.
 BLAS_MIN = 4096
+
+# Fewest entries of ``h`` from which an update with the -0 fact looks for
+# the +-0 edge rows of ``u``; the search (``u.nonzero()`` and the slices)
+# costs about 2 us. In-process A/B with one BLAS thread on a 2-vCPU Xeon
+# VM: on the dgemm path, leaving the search out made the engine's
+# ``ilu`` 9-24% slower at n=200 and 300 (faster in 1-5 of 21
+# alternations from n=190 on) and made no clear difference at
+# n=100-175, while it made ``mhuang``'s overdetermined n=100 updates
+# 1-4% faster (in 14 of 15 and 18 of 21 alternations). On the row blocks
+# (``gilu_solve``'s column slices) the search from 4096 entries made the
+# solve 1.3x faster at n=100 and 2.1x at n=300 and 600, and searching
+# below 4096 as well made it 2-6% slower at n=8-40.
+_EDGE_SEARCH_BLAS = 32768
+_EDGE_SEARCH_BLOCKS = 4096
 
 _dgemm = scipy.linalg.blas.dgemm
 
@@ -391,16 +409,16 @@ def subtract_outer(h, u, v, *, no_negative_zero=False):
     2-D view. ``v`` must not share memory with ``h`` (pass a copy of a
     row of ``h``), or entries already updated could be read.
 
-    From ``BLAS_MIN`` entries on the update is one BLAS ``dgemm`` with
-    inner dimension 1, ``h^T <- h^T - v u^T``, done in place on ``h.T``
-    (F-contiguous when ``h`` is C-contiguous). It is exact: the kernel's
-    accumulator starts at +0 and takes the single product
-    ``round(u[i] v[j])``, multiplying that by -1 is exact, and adding it
-    to ``h[i, j]`` rounds once, as the unfused subtraction does. The
-    entries are independent, so any BLAS thread count gives the same
-    bytes. The one difference is a product of exactly -0, which the +0
-    accumulator turns into +0: where ``h[i, j]`` is -0 the kernel leaves
-    -0 and the unfused expression gives +0.
+    The update is one BLAS ``dgemm`` with inner dimension 1,
+    ``h^T <- h^T - v u^T``, done in place on ``h.T`` (F-contiguous when
+    ``h`` is C-contiguous). It is exact: the kernel's accumulator starts
+    at +0 and takes the single product ``round(u[i] v[j])``, multiplying
+    that by -1 is exact, and adding it to ``h[i, j]`` rounds once, as the
+    unfused subtraction does. The entries are independent, so any BLAS
+    thread count gives the same bytes. The one difference is a product
+    of exactly -0, which the +0 accumulator turns into +0: where
+    ``h[i, j]`` is -0 the kernel leaves -0 and the unfused expression
+    gives +0.
 
     So the BLAS call is taken only when ``h`` is C-contiguous float64
     (otherwise f2py would silently update a copy), ``u`` and ``v`` are
@@ -419,40 +437,47 @@ def subtract_outer(h, u, v, *, no_negative_zero=False):
     that fails on any inf or NaN and, conservatively, on squares that
     overflow, which fall back to the full check. A true statement
     changes no byte, only the time; a false one can leave a -0 where the
-    unfused expression gives +0.
+    unfused expression gives +0. With the statement the ``dgemm`` is
+    taken at any size; without it, from ``BLAS_MIN`` entries, below
+    which the full check costs more than the row blocks.
 
-    Under that statement, from ``BLAS_MIN`` entries and with ``v``
-    finite, the update also leaves out the leading and trailing rows
-    where ``u`` is +-0, and does nothing when all of ``u`` is. Such a
-    row comes out as it went in: each product ``u[i] v[j]`` is +-0, and
-    ``h[i, j] - (+-0)`` is ``h[i, j]`` for every ``h[i, j]`` but -0
-    (``+0 - (+-0)`` is +0) and a signalling NaN, which numpy never
-    makes. This covers the zeroed leading rows of the implicit LU
-    projector and the trailing zeros of the deflated directions of
-    :func:`absolve.strategies.gilu_solve`. Below ``BLAS_MIN`` entries
-    finding those rows would cost more than updating them. An update
-    that has reached ``BLAS_MIN`` stays on BLAS however few rows are
-    left: a ``dgemm`` of a few rows takes about 3 us, less than the row
-    blocks (with one BLAS thread on a 2-vCPU Xeon VM, falling back to
-    them made ``mhuang`` on an overdetermined n=100 system 15% slower
-    than skipping no rows).
+    Under that statement and with ``v`` finite, the update also leaves
+    out the leading and trailing rows where ``u`` is +-0, and does
+    nothing when all of ``u`` is. Such a row comes out as it went in:
+    each product ``u[i] v[j]`` is +-0, and ``h[i, j] - (+-0)`` is
+    ``h[i, j]`` for every ``h[i, j]`` but -0 (``+0 - (+-0)`` is +0) and
+    a signalling NaN, which numpy never makes. This covers the zeroed
+    leading rows of the implicit LU projector and the trailing zeros of
+    the deflated directions of :func:`absolve.strategies.gilu_solve`.
+    The search for those rows runs only from a size at which it costs
+    less than the rows it saves: ``_EDGE_SEARCH_BLAS`` entries (about
+    180 x 180) for a C-contiguous ``h``, which takes the ``dgemm``, and
+    ``_EDGE_SEARCH_BLOCKS`` for any other, which takes the row blocks,
+    where each skipped row saves more. An update that has searched stays
+    on BLAS however few rows are left: a ``dgemm`` of a few rows takes
+    about 3 us, less than the row blocks (with one BLAS thread on a
+    2-vCPU Xeon VM, falling back to them made ``mhuang`` on an
+    overdetermined n=100 system 15% slower than skipping no rows).
     """
-    if h.size >= BLAS_MIN:
-        clean = no_negative_zero and math.isfinite(v.dot(v))
+    rows, cols = h.shape
+    if rows == 0 or cols == 0:
+        return
+    clean = no_negative_zero and math.isfinite(v.dot(v))
+    if clean or h.size >= BLAS_MIN:
         # u is dense in most updates: two scalar tests before any scan
-        if clean and not (u[0] and u[-1]):
+        if clean and not (u[0] and u[-1]) and h.size >= (
+                _EDGE_SEARCH_BLAS if h.flags.c_contiguous
+                else _EDGE_SEARCH_BLOCKS):
             nonzero = u.nonzero()[0]
             if nonzero.size == 0:
                 return
             lo, hi = int(nonzero[0]), int(nonzero[-1]) + 1
             h, u = h[lo:hi], u[lo:hi]
+            rows = hi - lo
         if _gemm_is_exact(h, u, v, clean):
             _dgemm(-1.0, v[:, None], u[None, :], beta=1.0, c=h.T,
                    overwrite_c=True)
             return
-    rows, cols = h.shape
-    if rows == 0 or cols == 0:
-        return
     step = max(1, OUTER_BLOCK // cols)
     buf = np.empty((min(step, rows), cols))
     v = v[None, :]

@@ -36,9 +36,19 @@ INCOMPATIBLE = "incompatible"
 INTEGER_INCOMPATIBLE = "incompatible_integer"
 
 
+# Lists and tuples whose entries all have type int pass the entry check
+# as they are, so one scan of the types replaces it; anything else (a
+# bool, an np.int64, a float) goes through the entry check.
+_SEQUENCES = (list, tuple)
+_INT = {int}
+
+
 def _as_int_matrix(a, what="matrix"):
     rows = []
     for r in a:
+        if type(r) in _SEQUENCES and set(map(type, r)) <= _INT:
+            rows.append(list(r))
+            continue
         row = []
         for v in r:
             iv = int(v)
@@ -52,6 +62,8 @@ def _as_int_matrix(a, what="matrix"):
 
 
 def _as_int_vector(b, what="vector"):
+    if type(b) in _SEQUENCES and set(map(type, b)) <= _INT:
+        return list(b)
     out = []
     for v in b:
         iv = int(v)

@@ -36,22 +36,24 @@ class MatrixData:
         return self.values.shape
 
 
-def _data_lines(path):
-    with open(path, encoding="ascii") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            text = raw.split("%", 1)[0].strip()
-            if text:
-                yield line_no, text
-
-
 def read_matrix(path):
-    """Parse a matrix file; returns MatrixData."""
-    lines = _data_lines(path)
-    try:
-        line_no, header = next(lines)
-    except StopIteration:
-        raise MatrixFileError(path, 0, "empty file") from None
+    """Parse a matrix file; returns MatrixData.
 
+    The file is read in one pass, each row's tokens go through ``float``
+    (``int`` and then ``float`` for integer files) in one ``map``, and
+    the floats fill the array at once. A malformed file raises
+    :class:`MatrixFileError` at its first bad line.
+    """
+    with open(path, encoding="ascii") as fh:
+        text = fh.read()
+    # a text-mode file yields the same lines as iterating over it
+    lines = [(line_no, data)
+             for line_no, raw in enumerate(text.split("\n"), start=1)
+             if (data := raw.split("%", 1)[0].strip())]
+    if not lines:
+        raise MatrixFileError(path, 0, "empty file")
+
+    line_no, header = lines[0]
     fields = header.split()
     if len(fields) != 3:
         raise MatrixFileError(path, line_no,
@@ -68,32 +70,32 @@ def read_matrix(path):
     if rows < 1 or cols < 1:
         raise MatrixFileError(path, line_no, "dimensions must be positive")
 
-    ints = [] if kind == "integer" else None
     values = np.empty((rows, cols))
-    filled = 0
-    for line_no, text in lines:
+    ints = [] if kind == "integer" else None
+    floats = []
+    for filled, (line_no, data) in enumerate(lines[1:]):
         if filled == rows:
             raise MatrixFileError(path, line_no,
                                   f"more than {rows} data rows")
-        entries = text.split()
+        entries = data.split()
         if len(entries) != cols:
             raise MatrixFileError(
                 path, line_no,
                 f"expected {cols} entries, found {len(entries)}")
         try:
-            if kind == "integer":
-                row = [int(e) for e in entries]
-                ints.append(row)
-                values[filled] = row
+            if ints is None:
+                floats += map(float, entries)
             else:
-                values[filled] = [float(e) for e in entries]
+                row = list(map(int, entries))
+                ints.append(row)
+                floats += map(float, row)
         except (ValueError, OverflowError):
             raise MatrixFileError(path, line_no,
                                   "unparsable entry") from None
-        filled += 1
-    if filled != rows:
-        raise MatrixFileError(path, 0,
-                              f"expected {rows} data rows, found {filled}")
+    if len(lines) - 1 != rows:
+        raise MatrixFileError(path, 0, f"expected {rows} data rows, "
+                                       f"found {len(lines) - 1}")
+    values.reshape(-1)[:] = floats
     return MatrixData(values=values, kind=kind, ints=ints)
 
 
@@ -111,14 +113,12 @@ def read_vector(path):
                       ints=flat_ints)
 
 
-def _format_entry(value, kind):
-    if kind == "integer":
-        return str(int(value))
-    return repr(float(value))
-
-
 def write_matrix(path, values, kind="real"):
-    """Write a matrix (or 1-D vector, stored as a column) to ``path``."""
+    """Write a matrix (or 1-D vector, stored as a column) to ``path``.
+
+    Real entries are written as ``repr(float(v))``, which reads back to
+    the same float; integer entries as ``str(int(v))``.
+    """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     arr = np.asarray(values)
@@ -127,8 +127,9 @@ def write_matrix(path, values, kind="real"):
     if arr.ndim != 2:
         raise ValueError("only matrices and vectors can be written")
     rows, cols = arr.shape
-    lines = [f"{rows} {cols} {kind}"]
-    for i in range(rows):
-        lines.append(" ".join(_format_entry(v, kind) for v in arr[i]))
+    entry = (lambda v: str(int(v))) if kind == "integer" \
+        else (lambda v: repr(float(v)))
+    text = f"{rows} {cols} {kind}\n" + "".join(
+        [" ".join(map(entry, row)) + "\n" for row in arr.tolist()])
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)

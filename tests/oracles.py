@@ -14,6 +14,7 @@ import numpy as np
 from absolve import core
 from absolve.counting import OpCounter, StorageMeter
 from absolve.errors import RegularityFailure, UnsupportedShape
+from absolve.matfile import KINDS, MatrixData, MatrixFileError
 from absolve.strategies import CompactLUWorkspace
 
 
@@ -320,3 +321,67 @@ def column_loop_implicit_lu(a, b, tol=None, keep_factors=True,
                             eq_status=[core.INDEPENDENT] * n, state=state,
                             mult_count=counter.mults, residual_norm=res,
                             workspace=CompactLUWorkspace(storage=meter, n=n))
+
+
+# The line-by-line matrix-file reader that matfile.read_matrix replaced,
+# kept verbatim: the one-pass reader must give the same values, ints and
+# MatrixFileError line numbers and messages.
+def _data_lines(path):
+    with open(path, encoding="ascii") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            text = raw.split("%", 1)[0].strip()
+            if text:
+                yield line_no, text
+
+
+def read_matrix(path):
+    """Parse a matrix file; returns MatrixData."""
+    lines = _data_lines(path)
+    try:
+        line_no, header = next(lines)
+    except StopIteration:
+        raise MatrixFileError(path, 0, "empty file") from None
+
+    fields = header.split()
+    if len(fields) != 3:
+        raise MatrixFileError(path, line_no,
+                              "header must be 'rows cols kind'")
+    try:
+        rows, cols = int(fields[0]), int(fields[1])
+    except ValueError:
+        raise MatrixFileError(path, line_no,
+                              "rows and cols must be integers") from None
+    kind = fields[2]
+    if kind not in KINDS:
+        raise MatrixFileError(path, line_no,
+                              f"kind must be one of {KINDS}, got {kind!r}")
+    if rows < 1 or cols < 1:
+        raise MatrixFileError(path, line_no, "dimensions must be positive")
+
+    ints = [] if kind == "integer" else None
+    values = np.empty((rows, cols))
+    filled = 0
+    for line_no, text in lines:
+        if filled == rows:
+            raise MatrixFileError(path, line_no,
+                                  f"more than {rows} data rows")
+        entries = text.split()
+        if len(entries) != cols:
+            raise MatrixFileError(
+                path, line_no,
+                f"expected {cols} entries, found {len(entries)}")
+        try:
+            if kind == "integer":
+                row = [int(e) for e in entries]
+                ints.append(row)
+                values[filled] = row
+            else:
+                values[filled] = [float(e) for e in entries]
+        except (ValueError, OverflowError):
+            raise MatrixFileError(path, line_no,
+                                  "unparsable entry") from None
+        filled += 1
+    if filled != rows:
+        raise MatrixFileError(path, 0,
+                              f"expected {rows} data rows, found {filled}")
+    return MatrixData(values=values, kind=kind, ints=ints)

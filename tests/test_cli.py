@@ -4,10 +4,14 @@ Every command runs in process through ``cli.main`` so exit codes and
 streams are observable without spawning interpreters.
 """
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from absolve import cli, matfile
 
 
@@ -79,6 +83,87 @@ def test_read_vector_rejects_matrices(tmp_path):
     path = write(tmp_path / "m.txt", "2 2 real\n1 2\n3 4\n")
     with pytest.raises(matfile.MatrixFileError):
         matfile.read_vector(path)
+
+
+def _read_outcome(reader, path):
+    """What a reader makes of a file: the data, or the error it raises."""
+    try:
+        data = reader(path)
+    except matfile.MatrixFileError as exc:
+        return ("error", exc.line_no, str(exc))
+    return ("data", data.kind, data.values.shape, data.values.tobytes(),
+            data.ints, None if data.ints is None
+            else [[type(v) for v in row] for row in data.ints])
+
+
+_INT_TOKENS = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    # past 2^53, 2^63 and 2^64, and past the float range
+    st.integers(-2 ** 70, 2 ** 70),
+    st.sampled_from([2 ** 53 + 1, -(2 ** 63) - 1, 2 ** 64 + 1,
+                     10 ** 308, 2 ** 1024, -(10 ** 400)]),
+).map(str)
+_REAL_TOKENS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-2 ** 60, 2 ** 60).map(str),
+    st.sampled_from(["1e400", "-0.0", "+.5", "1_000.25", "inf", "-nan",
+                     "4.9e-324", "2e-330"]),
+)
+
+
+@st.composite
+def _matrix_texts(draw):
+    """Matrix file text: valid, with comments and blank lines, and with
+    the faults a reader must place on their line."""
+    kind = draw(st.sampled_from(matfile.KINDS))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    tokens = _INT_TOKENS if kind == "integer" else _REAL_TOKENS
+    body = [[draw(tokens) for _ in range(cols)] for _ in range(rows)]
+    header = f"{rows} {cols} {kind}"
+    fault = draw(st.sampled_from(["none", "none", "extra-row", "short",
+                                  "entry-count", "bad-entry", "header"]))
+    if fault == "extra-row":
+        body.append([draw(tokens) for _ in range(cols)])
+    elif fault == "short":
+        del body[draw(st.integers(0, rows - 1))]
+    elif fault == "entry-count":
+        row = body[draw(st.integers(0, rows - 1))]
+        if draw(st.booleans()) or cols == 1:
+            row.append(draw(tokens))
+        else:
+            row.pop()
+    elif fault == "bad-entry":
+        # the last three are real numbers; "%" cuts the row short
+        bad = draw(st.sampled_from(["x", "1.5.2", "--1", "0x10", "1e",
+                                    "1,2", "%", "2.5", "1e3", "nan"]))
+        body[draw(st.integers(0, rows - 1))][draw(st.integers(
+            0, cols - 1))] = bad
+    elif fault == "header":
+        header = draw(st.sampled_from([
+            f"{rows} {cols}", f"{rows} {cols} {kind} extra",
+            f"x {cols} {kind}", f"{rows} 2.0 {kind}",
+            f"{rows} {cols} complex", f"0 {cols} {kind}",
+            f"{rows} -1 {kind}", ""]))
+    lines = [header] + [" ".join(row) for row in body]
+    out = []
+    for line in lines:
+        # comments and blank lines before a line, and after it on it
+        out += draw(st.lists(st.sampled_from(["", "   ", "% note",
+                                              "  % 1 2 3"]), max_size=2))
+        out.append(line + draw(st.sampled_from(["", "  ", " % tail",
+                                                "\t%x"])))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(out) + draw(st.sampled_from(["", newline]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_matrix_texts())
+def test_read_matrix_equals_the_line_by_line_reader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("mat") / "a.txt"
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write(text)
+    assert _read_outcome(matfile.read_matrix, str(path)) \
+        == _read_outcome(oracles.read_matrix, str(path))
 
 
 # --- solve command ---------------------------------------------------
@@ -288,3 +373,72 @@ def test_unknown_suite_exits_with_usage_code(capsys):
         cli.main(["bench", "--suite", "banded"])
     capsys.readouterr()
     assert info.value.code == cli.EXIT_USAGE
+
+
+# --- one parser per process -------------------------------------------
+
+
+def _run(argv, out_path=None):
+    """(exit code, stdout, stderr, --out bytes) of one ``cli.main`` call;
+    an argparse exit counts by its code."""
+    so, se = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(so), contextlib.redirect_stderr(se):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    written = None
+    if out_path is not None and out_path.exists():
+        written = out_path.read_bytes()
+        out_path.unlink()
+    return code, so.getvalue(), se.getvalue(), written
+
+
+def test_repeated_calls_match_calls_on_a_fresh_parser(tmp_path):
+    near = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9]])
+    # consistent with the first row's least-norm solution (1.5, 1.5)
+    mat, rhs = solve_files(tmp_path, near, [3.0, 3.0000000015])
+    kt_a = np.array([[4.0, 1.0, 1.0], [1.0, 3.0, 2.0], [1.0, 2.0, 0.0]])
+    kt_mat = str(tmp_path / "kt.txt")
+    kt_rhs = str(tmp_path / "kt-rhs.txt")
+    matfile.write_matrix(kt_mat, kt_a)
+    matfile.write_matrix(kt_rhs, [6.0, 6.0, 3.0])
+    out = tmp_path / "x.txt"
+    # each option is followed by a call without it, which must not see it
+    calls = [
+        (["solve", mat, rhs, "--out", str(out)], out),
+        (["solve", mat, rhs], None),
+        (["solve", mat, rhs, "--tol", "1e-6", "--method", "mhuang"], None),
+        (["solve", mat, rhs, "--method", "mhuang"], None),
+        (["solve", kt_mat, kt_rhs, "--method", "kt:a1b1", "--kt-m", "1"],
+         None),
+        (["solve", kt_mat, kt_rhs, "--method", "kt:a1b1"], None),
+        (["solve", mat, rhs, "--bogus"], None),
+        (["solve", mat], None),
+        (["solve", str(tmp_path / "missing.txt"), rhs], None),
+        (["bench", "--suite", "determined", "--sizes", "6", "--methods",
+          "huang,ilu", "--out", str(out)], out),
+        (["bench", "--suite", "dio", "--sizes", "3"], None),
+        (["solve", "--help"], None),
+        (["solve", mat, rhs, "--out", str(out)], out),
+    ]
+    cli._parser.cache_clear()
+    repeated = [_run(argv, path) for argv, path in calls]
+    assert cli._parser.cache_info().misses == 1
+    fresh = []
+    for argv, path in calls:
+        cli._parser.cache_clear()
+        fresh.append(_run(argv, path))
+    assert repeated == fresh
+    codes = [code for code, *_ in repeated]
+    assert codes == [cli.EXIT_OK, cli.EXIT_OK, cli.EXIT_OK, cli.EXIT_OK,
+                     cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_USAGE,
+                     cli.EXIT_USAGE, cli.EXIT_DATA, cli.EXIT_OK,
+                     cli.EXIT_OK, 0, cli.EXIT_OK]
+    # --out leaves stdout empty; the next call prints
+    assert repeated[0][1] == "" and repeated[0][3] is not None
+    assert repeated[1][1] != "" and repeated[1][3] is None
+    # the tolerance of call 3 decides the rank of the near-dependent pair
+    assert "rank 1" in repeated[2][2] and "rank 2" in repeated[3][2]
+    assert "--kt-m" in repeated[5][2]
+    assert repeated[-1][3] == repeated[0][3]

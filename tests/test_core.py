@@ -271,6 +271,78 @@ def test_subtract_outer_shapes_around_the_blas_cutoffs(shape, dgemm_calls):
                            else [])
 
 
+@pytest.mark.parametrize("signed_zeros", (False, True))
+@pytest.mark.parametrize("shape", ((1, 1), (1, 9), (9, 1), (2, 3), (8, 8),
+                                   (16, 16), (24, 24), (32, 32), (40, 40),
+                                   (40, 100), (63, 64), (64, 63)))
+def test_subtract_outer_on_the_fact_takes_blas_at_any_size(
+        shape, signed_zeros, dgemm_calls):
+    # from 1 x 1 up to BLAS_MIN, the k=1 dgemm on near-cancelling data
+    # (a fused kernel would differ), with products of exactly -0 too
+    rng = np.random.default_rng(40)
+    h, u, v = _near_cancellation(rng, *shape)
+    if signed_zeros:
+        h, u, v = _with_zeros(rng, h, u, v)
+    assert not core._holds_negative_zero(h)
+    expected = h - np.outer(u, v)
+    core.subtract_outer(h, u, v, no_negative_zero=True)
+    assert h.tobytes() == expected.tobytes()
+    assert np.array_equal(np.signbit(h), np.signbit(expected))
+    rows, cols = shape
+    assert rows * cols <= core.BLAS_MIN
+    assert dgemm_calls == [(cols, rows)]
+
+
+@pytest.mark.parametrize("case", ("no-fact", "nonfinite", "negative-zero",
+                                  "column-slice"))
+@pytest.mark.parametrize("shape", ((2, 1), (8, 8), (40, 40), (40, 100)))
+def test_small_updates_that_blas_cannot_do_exactly_take_the_row_blocks(
+        shape, case, dgemm_calls):
+    rng = np.random.default_rng(41)
+    rows, cols = shape
+    h, u, v = _near_cancellation(rng, rows, cols)
+    parent, fact = h, True
+    if case == "no-fact":
+        # below BLAS_MIN the full exactness test costs more than the rows
+        fact = False
+    elif case == "nonfinite":
+        u[-1] = np.inf
+    elif case == "negative-zero":
+        # a -0 in h and a product of exactly -0 there: the kernel would
+        # keep the -0, so without the fact the full check refuses BLAS
+        fact = False
+        u[0], v[0], h[0, 0] = -0.0, 1.0, -0.0
+    else:
+        # a column slice of more than one row is not C-contiguous
+        parent = np.hstack([rng.standard_normal((rows, 2)), h])
+        h = parent[:, 2:]
+    before = parent[:, :parent.shape[1] - cols].copy()
+    with np.errstate(invalid="ignore"):
+        expected = h - np.outer(u, v)
+        core.subtract_outer(h, u, v, no_negative_zero=fact)
+    assert h.tobytes() == expected.tobytes()
+    assert np.array_equal(np.signbit(h), np.signbit(expected))
+    assert parent[:, :parent.shape[1] - cols].tobytes() == before.tobytes()
+    assert dgemm_calls == []
+
+
+def test_subtract_outer_searches_edge_rows_from_its_size_gate(dgemm_calls):
+    # on the dgemm path the search for +-0 edge rows of u pays only on
+    # large updates; below its gate the update keeps every row
+    rng = np.random.default_rng(42)
+    for n in (150, 200):
+        h, u, v = _near_cancellation(rng, n, n)
+        u[:10] = 0.0
+        u[-5:] = -0.0
+        expected = h - np.outer(u, v)
+        dgemm_calls.clear()
+        core.subtract_outer(h, u, v, no_negative_zero=True)
+        assert h.tobytes() == expected.tobytes()
+        searched = n * n >= core._EDGE_SEARCH_BLAS
+        assert searched == (n == 200)
+        assert dgemm_calls == [(n, n - 15 if searched else n)]
+
+
 def test_subtract_outer_updates_a_column_slice_in_its_parent(dgemm_calls):
     rng = np.random.default_rng(36)
     parent, u, _ = _near_cancellation(rng, 300, 300)
@@ -353,9 +425,11 @@ def _zero_runs(draw, rng, size):
 def test_subtract_outer_row_skip_is_the_unfused_update(data):
     draw = data.draw
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    # both sides of BLAS_MIN, and enough rows for long zero runs
+    # both sides of BLAS_MIN and of the edge-search gates (4096 entries
+    # for a column slice, 32768 for a contiguous h), and enough rows for
+    # long zero runs
     rows = draw(st.integers(1, 120))
-    cols = draw(st.sampled_from((1, 7, 33, 64, 100)))
+    cols = draw(st.sampled_from((1, 7, 33, 64, 100, 400)))
     u = _zero_runs(draw, rng, rows)
     v = _full_mantissa(rng, cols)
     for bad in draw(st.lists(st.sampled_from((np.inf, -np.inf, np.nan)),

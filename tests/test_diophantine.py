@@ -147,6 +147,64 @@ def test_projector_stays_integer():
         assert all(isinstance(v, int) for v in row)
 
 
+def _entry_by_entry(rows, what):
+    """The conversion every entry went through before the type scan."""
+    out = []
+    for r in rows:
+        row = []
+        for v in r:
+            iv = int(v)
+            if iv != v:
+                raise ValueError(f"{what} entry {v!r} is not an integer")
+            row.append(iv)
+        out.append(row)
+    if out and any(len(r) != len(out[0]) for r in out):
+        raise ValueError(f"{what} rows have unequal lengths")
+    return out
+
+
+def _conversion(convert, *args):
+    try:
+        got = convert(*args)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return ("ok", got, [[type(v) for v in row] for row in got]
+            if got and isinstance(got[0], list) else [type(v) for v in got])
+
+
+_ENTRIES = st.one_of(
+    st.integers(-2 ** 70, 2 ** 70), st.integers(-5, 5), st.booleans(),
+    st.integers(-5, 5).map(np.int64), st.integers(-5, 5).map(float),
+    st.sampled_from([0.5, -2.25, np.float64(3.0), np.float64(1.5)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.lists(_ENTRIES, max_size=4), st.sampled_from(
+    [list, tuple, lambda row: np.array(row, dtype=object)])), max_size=4))
+def test_integer_entries_convert_as_entry_by_entry(rows):
+    # lists and tuples of ints take the type scan, the rest the entry check
+    a = [kind(row) for row, kind in rows]
+    assert _conversion(diophantine._as_int_matrix, a) \
+        == _conversion(_entry_by_entry, a, "matrix")
+    for vec in a:
+        assert _conversion(diophantine._as_int_vector, vec, "rhs") \
+            == _conversion(lambda v: _entry_by_entry([v], "rhs")[0], vec)
+
+
+def test_a_bad_entry_is_named_after_rows_of_ints():
+    with pytest.raises(ValueError, match=r"^matrix entry 2\.5 is not an "
+                                         r"integer$"):
+        diophantine.solve([[1, 2], [3, 2.5]], [1, 2])
+    with pytest.raises(ValueError, match=r"^rhs entry 0\.5 is not an "
+                                         r"integer$"):
+        diophantine.solve([[1, 2], [3, 4]], [1, 0.5])
+    a = [[3, 5]]
+    rep = diophantine.solve(a, (1,))
+    assert 3 * rep.x[0] + 5 * rep.x[1] == 1
+    # the solver works on its own lists
+    assert a == [[3, 5]]
+
+
 def test_initial_matrix_must_be_unimodular():
     with pytest.raises(ValueError):
         diophantine.solve([[1, 0]], [1], h1=[[2, 0], [0, 1]])
