@@ -62,7 +62,8 @@ def build_parser():
                        help="huang, stable, mhuang, ilu, ilx, iqr, cgdir, "
                             "gilu, dio, kt:a1b2, absm:m=3:y=energy, ...")
     solve.add_argument("--tol", type=float, default=None,
-                       help="dependency and pivot tolerance override")
+                       help="dependency and pivot tolerance override "
+                            "(not for kt, dio and absm methods)")
     solve.add_argument("--kt-m", type=int, default=None,
                        help="constraint count for kt methods on an "
                             "assembled matrix")
@@ -115,6 +116,10 @@ def cmd_solve(args):
                      EXIT_DATA)
     if head == "kt" and args.kt_m is None:
         return _fail("kt methods need --kt-m to split the assembled matrix",
+                     EXIT_USAGE)
+    if args.tol is not None and head in ("kt", "dio", "absm"):
+        # these solvers take no tolerance override
+        return _fail(f"--tol does not apply to method {args.method!r}",
                      EXIT_USAGE)
 
     tol = None

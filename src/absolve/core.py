@@ -26,12 +26,14 @@ performs is added to the counter, including the arithmetic inside tolerance
 tests (norms and scale factors).
 """
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 import scipy.linalg.blas
+import scipy.linalg.cython_blas
 
 from .counting import OpCounter
 from .errors import IncompatibleSystem, NotFullRank, StrategyBreakdown
@@ -341,32 +343,134 @@ def _norm(v):
 # engine's updates at n=300 and 600; smaller ones ran slower.
 OUTER_BLOCK = 32768
 
-# Fewest entries of ``h`` for which :func:`subtract_outer` calls BLAS
-# when the caller states no -0 fact; with the fact it calls BLAS at any
-# size. With one BLAS thread on a 2-vCPU Xeon VM (fastest decile of
-# 2000 calls): with the fact, the dgemm path takes 3.8, 3.7, 4.0 and
-# 4.2 us at 1 x 1, 8 x 8, 24 x 24 and 40 x 40 against 4.1, 4.5, 5.6 and
-# 7.5 us for the row blocks; without it, the full exactness test adds
-# about 5 us, the row blocks are faster up to 48 x 48 and 40 x 100, the
-# two paths ran equally fast at 64 x 64 and 80 x 80, and BLAS 1.4-1.6x
-# faster at 100 x 100.
+# Fewest entries of ``h`` for which :func:`subtract_outer` calls BLAS on
+# a C-contiguous ``h`` when the caller states no -0 fact, and on a
+# strided view when it does; a C-contiguous ``h`` with the fact takes
+# BLAS at any size, a strided view without it from ``_CHECKED_VIEW_MIN``
+# entries. With one BLAS
+# thread on a 2-vCPU Xeon VM (fastest decile of 2000 calls): with the
+# fact, the dgemm path takes 3.8, 3.7, 4.0 and 4.2 us at 1 x 1, 8 x 8,
+# 24 x 24 and 40 x 40 against 4.1, 4.5, 5.6 and 7.5 us for the row
+# blocks; without it, the full exactness test adds about 5 us, the row
+# blocks are faster up to 48 x 48 and 40 x 100, the two paths ran equally
+# fast at 64 x 64 and 80 x 80, and BLAS 1.4-1.6x faster at 100 x 100.
+# A strided view takes the ctypes ``dgemm`` of :func:`_dgemm_view`
+# (about 6 us more per call than f2py's, see ``_dgemm``). On column slices
+# (second-fastest of 15 x 2000 calls) it took 11-12 us from 8 x 4 to
+# 32 x 32 with the fact, against 7-9 us for the row blocks, the two ran
+# equally fast near 64 x 32 (2048 entries), and BLAS took 13 us against
+# 20-22 us at 64 x 64 and 100 x 50. Without the fact, on blocks of an
+# n x n buffer as the packed implicit LU passes them (fastest of 30 x 200
+# calls), both took 19-22 us from 64 x 64 to 75 x 74, and BLAS took 18-19
+# us against 24-25 us from 80 x 80 to 120 x 60 and 20 us against 38 us at
+# 150 x 75.
 BLAS_MIN = 4096
 
-# Fewest entries of ``h`` from which an update with the -0 fact looks for
-# the +-0 edge rows of ``u``; the search (``u.nonzero()`` and the slices)
-# costs about 2 us. In-process A/B with one BLAS thread on a 2-vCPU Xeon
-# VM: on the dgemm path, leaving the search out made the engine's
-# ``ilu`` 9-24% slower at n=200 and 300 (faster in 1-5 of 21
-# alternations from n=190 on) and made no clear difference at
-# n=100-175, while it made ``mhuang``'s overdetermined n=100 updates
-# 1-4% faster (in 14 of 15 and 18 of 21 alternations). On the row blocks
-# (``gilu_solve``'s column slices) the search from 4096 entries made the
-# solve 1.3x faster at n=100 and 2.1x at n=300 and 600, and searching
-# below 4096 as well made it 2-6% slower at n=8-40.
-_EDGE_SEARCH_BLAS = 32768
-_EDGE_SEARCH_BLOCKS = 4096
+# Fewest entries of a strided view from which :func:`subtract_outer`
+# calls BLAS when the caller states no -0 fact. The full check then
+# decides, and on a rank-deficient system it can fail at every step: in
+# the packed implicit LU of a planted rank-150 n=200 system (the
+# bench-suite's ``determined`` n=200 unit) all 126 updates from 4096
+# entries find a -0 in the block and a zero product. Where the check
+# passes, as on full-rank systems, BLAS ran about as fast as the row
+# blocks from 64 x 64 to 75 x 74 and faster from 80 x 80 (see
+# BLAS_MIN); at 128 x 128 it takes 32 us against 59 us. The packed
+# implicit LU, fastest of 12 in-process alternations (7 at n=600) in two
+# runs, one BLAS thread on a 2-vCPU Xeon VM, with this gate, with 4096
+# and on the row blocks: full-rank n=300 26.0-26.1, 25.2-25.9 and
+# 30.7-33.2 ms, n=600 125-184, 131-133 and 207-281 ms, n=200 the same
+# within noise; rank-deficient n=200 8.5-9.0, 10.7-11.8 and 8.2-9.0 ms,
+# n=300 (blocks past this gate) 25.4, 26.1-26.6 and 21.9-22.4 ms.
+_CHECKED_VIEW_MIN = 16384
 
+# Fewest entries of a C-contiguous ``h`` from which an update with the
+# -0 fact looks for the +-0 edge rows of ``u``; the search (``u.nonzero()``
+# and the slices) costs about 2 us. In-process A/B with one BLAS thread
+# on a 2-vCPU Xeon VM: leaving the search out made the engine's ``ilu``
+# 9-24% slower at n=200 and 300 (faster in 1-5 of 21 alternations from
+# n=190 on) and made no clear difference at n=100-175, while it made
+# ``mhuang``'s overdetermined n=100 updates 1-4% faster (in 14 of 15 and
+# 18 of 21 alternations). A strided view, which reaches BLAS only from
+# ``BLAS_MIN`` entries, searches whenever it does: on ``gilu_solve``'s
+# column slices, where each skipped row saves more, searching from 4096
+# entries rather than from 32768 made the solve 8% faster at n=200 and
+# 12% at n=300 (fastest of 15 alternations) and ran as fast at n=100-150.
+_EDGE_SEARCH_BLAS = 32768
+
+# f2py's dgemm for a C-contiguous ``h``: one entry point for both
+# layouts would cost small-calls' n=8-40 updates, as the ctypes call of
+# :func:`_dgemm_view` takes 7.4-7.6 us at 8 x 8 and 24 x 24 against
+# 1.5 us for f2py's (one BLAS thread, 2-vCPU Xeon VM, third-fastest of
+# 21 x 4000 calls), most of it in reading three arrays' addresses.
 _dgemm = scipy.linalg.blas.dgemm
+
+
+def _fortran_dgemm():
+    """The Fortran ``dgemm`` that SciPy exports for Cython modules, as a
+    ctypes function of 13 pointers.
+
+    numba reaches BLAS by the same route; it needs no compiled code of
+    ours. Unlike f2py's wrapper it takes every leading dimension as an
+    argument, so it updates a strided view in place, not a copy."""
+    capsule = scipy.linalg.cython_blas.__pyx_capi__["dgemm"]
+    api = ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", api))(capsule)
+    address = ctypes.PYFUNCTYPE(
+        ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))(capsule, name)
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 13)(address)
+
+
+_DGEMM = _fortran_dgemm()
+# the arguments every call shares, passed by address: trans = 'N',
+# alpha = -1 and beta = 1
+_DGEMM_NOTRANS_CHAR = ctypes.c_char(b"N")
+_DGEMM_NOTRANS = ctypes.addressof(_DGEMM_NOTRANS_CHAR)
+_DGEMM_SCALARS = (ctypes.c_double * 2)(-1.0, 1.0)
+_DGEMM_ALPHA = ctypes.addressof(_DGEMM_SCALARS)
+_DGEMM_BETA = _DGEMM_ALPHA + 8
+# K, M (= lda), N, ldb and ldc of one call
+_DGEMM_DIMS = ctypes.c_int * 5
+_C_INT_MAX = 2 ** 31 - 1
+
+
+def _view_dims(h, u, v):
+    """``(ldb, ldc)`` with which the Fortran ``dgemm`` updates the
+    row-major view ``h`` in place, reading ``u`` with its own stride, or
+    None.
+
+    A row-major view has unit column stride and a row stride of at least
+    ``cols`` entries; ``v`` must have unit stride, and every dimension
+    must fit a C int."""
+    rows, cols = h.shape
+    row_step, col_step = h.strides
+    if not (col_step == 8 and (v.strides[0] == 8 or cols == 1)
+            and u.flags.aligned and v.flags.aligned):
+        return None
+    if rows == 1:
+        return 1, cols  # neither leading dimension is stepped over
+    u_step = u.strides[0]
+    if row_step % 8 or u_step <= 0 or u_step % 8:
+        return None
+    ldb, ldc = u_step // 8, row_step // 8
+    if ldc < cols or max(ldb, ldc, rows) > _C_INT_MAX:
+        return None
+    return ldb, ldc
+
+
+def _dgemm_view(h, u, v, ldb, ldc):
+    """``h -= np.outer(u, v)`` on the row-major view ``h`` by one k=1
+    Fortran ``dgemm`` on ``h^T``: ``dgemm('N', 'N', M=cols, N=rows,
+    K=1, alpha=-1, A=v, lda=cols, B=u, ldb, beta=1, C=h, ldc)``."""
+    rows, cols = h.shape
+    # each call has its own block of dimensions, so threads share none
+    dims = _DGEMM_DIMS(1, cols, rows, ldb, ldc)
+    k = ctypes.addressof(dims)
+    _DGEMM(_DGEMM_NOTRANS, _DGEMM_NOTRANS, k + 4, k + 8, k, _DGEMM_ALPHA,
+           v.ctypes.data, k + 4, u.ctypes.data, k + 12, _DGEMM_BETA,
+           h.ctypes.data, k + 16)
+
 
 # -0.0 read as an int64 is the smallest int64, so one integer min over
 # the bits of a float64 array tells whether it holds a -0.0
@@ -379,13 +483,12 @@ def _holds_negative_zero(a):
 
 def _gemm_is_exact(h, u, v, clean=False):
     """True when the k=1 ``dgemm`` update of ``h`` equals the unfused
-    ``h - np.outer(u, v)`` bit for bit and runs in place.
+    ``h - np.outer(u, v)`` bit for bit.
 
     ``clean`` states that ``h`` holds no -0.0 and that ``v`` is finite."""
     if not (h.dtype == u.dtype == v.dtype == np.float64
-            and h.flags.c_contiguous and h.flags.aligned
-            and h.flags.writeable):
-        return False  # f2py would work on a copy, or convert the inputs
+            and h.flags.aligned and h.flags.writeable):
+        return False  # BLAS would work on converted copies
     # a sum of squares is finite only if every entry is (an inf or a NaN
     # makes it inf or NaN); one that overflows takes the full test below
     if clean and math.isfinite(u.dot(u)):
@@ -410,20 +513,25 @@ def subtract_outer(h, u, v, *, no_negative_zero=False):
     row of ``h``), or entries already updated could be read.
 
     The update is one BLAS ``dgemm`` with inner dimension 1,
-    ``h^T <- h^T - v u^T``, done in place on ``h.T`` (F-contiguous when
-    ``h`` is C-contiguous). It is exact: the kernel's accumulator starts
-    at +0 and takes the single product ``round(u[i] v[j])``, multiplying
-    that by -1 is exact, and adding it to ``h[i, j]`` rounds once, as the
-    unfused subtraction does. The entries are independent, so any BLAS
-    thread count gives the same bytes. The one difference is a product
-    of exactly -0, which the +0 accumulator turns into +0: where
-    ``h[i, j]`` is -0 the kernel leaves -0 and the unfused expression
-    gives +0.
+    ``h^T <- h^T - v u^T``, done in place on ``h.T``. It is exact: the
+    kernel's accumulator starts at +0 and takes the single product
+    ``round(u[i] v[j])``, multiplying that by -1 is exact, and adding it
+    to ``h[i, j]`` rounds once, as the unfused subtraction does. The
+    entries are independent, so any BLAS thread count gives the same
+    bytes. The one difference is a product of exactly -0, which the +0
+    accumulator turns into +0: where ``h[i, j]`` is -0 the kernel leaves
+    -0 and the unfused expression gives +0.
 
-    So the BLAS call is taken only when ``h`` is C-contiguous float64
-    (otherwise f2py would silently update a copy), ``u`` and ``v`` are
-    finite, and either no product can round to zero or ``h`` holds no
-    -0.0. Neither path creates a -0 in a matrix that holds none (in
+    Two layouts take BLAS. A C-contiguous ``h`` (F-contiguous ``h.T``)
+    goes to SciPy's f2py ``dgemm``, which costs the least per call. Any
+    other row-major view, one with unit column stride and a row stride
+    of at least ``cols`` (a column slice such as ``u[:, i+1:]``, whose
+    copy is what f2py would update), goes to the Fortran ``dgemm`` that
+    SciPy exports for Cython, called through ctypes with ``ldc`` set to
+    the row stride, so the slice itself is updated (:func:`_dgemm_view`).
+    The BLAS call is taken only when ``h`` is float64, ``u`` and ``v``
+    are finite, and either no product can round to zero or ``h`` holds
+    no -0.0. Neither path creates a -0 in a matrix that holds none (in
     round-to-nearest ``x - y`` is -0 only when ``x`` is), so a run that
     starts without one keeps the BLAS path. Everything else takes the
     row-block path: the products are formed a block of rows at a time in
@@ -437,9 +545,13 @@ def subtract_outer(h, u, v, *, no_negative_zero=False):
     that fails on any inf or NaN and, conservatively, on squares that
     overflow, which fall back to the full check. A true statement
     changes no byte, only the time; a false one can leave a -0 where the
-    unfused expression gives +0. With the statement the ``dgemm`` is
-    taken at any size; without it, from ``BLAS_MIN`` entries, below
-    which the full check costs more than the row blocks.
+    unfused expression gives +0. With the statement a C-contiguous
+    ``h`` takes the ``dgemm`` at any size and a strided view from
+    ``BLAS_MIN`` entries; without it a C-contiguous ``h`` takes it from
+    ``BLAS_MIN`` entries and a strided view from ``_CHECKED_VIEW_MIN``.
+    Below those sizes the full check or the ctypes call costs more than
+    the row blocks save, or, for a strided view whose check fails, a
+    larger part of the update.
 
     Under that statement and with ``v`` finite, the update also leaves
     out the leading and trailing rows where ``u`` is +-0, and does
@@ -451,35 +563,42 @@ def subtract_outer(h, u, v, *, no_negative_zero=False):
     the deflated directions of :func:`absolve.strategies.gilu_solve`.
     The search for those rows runs only from a size at which it costs
     less than the rows it saves: ``_EDGE_SEARCH_BLAS`` entries (about
-    180 x 180) for a C-contiguous ``h``, which takes the ``dgemm``, and
-    ``_EDGE_SEARCH_BLOCKS`` for any other, which takes the row blocks,
-    where each skipped row saves more. An update that has searched stays
-    on BLAS however few rows are left: a ``dgemm`` of a few rows takes
-    about 3 us, less than the row blocks (with one BLAS thread on a
-    2-vCPU Xeon VM, falling back to them made ``mhuang`` on an
-    overdetermined n=100 system 15% slower than skipping no rows).
+    180 x 180) for a C-contiguous ``h``, and ``BLAS_MIN`` for a strided
+    one, where each skipped row saves more. An update that has
+    searched stays on BLAS however few rows are left: a ``dgemm`` of a
+    few rows takes about 3 us, less than the row blocks (with one BLAS
+    thread on a 2-vCPU Xeon VM, falling back to them made ``mhuang`` on
+    an overdetermined n=100 system 15% slower than skipping no rows).
     """
     rows, cols = h.shape
     if rows == 0 or cols == 0:
         return
     clean = no_negative_zero and math.isfinite(v.dot(v))
-    if clean or h.size >= BLAS_MIN:
+    contiguous = h.flags.c_contiguous
+    if h.size >= ((0 if contiguous else BLAS_MIN) if clean
+                  else (BLAS_MIN if contiguous else _CHECKED_VIEW_MIN)):
         # u is dense in most updates: two scalar tests before any scan
-        if clean and not (u[0] and u[-1]) and h.size >= (
-                _EDGE_SEARCH_BLAS if h.flags.c_contiguous
-                else _EDGE_SEARCH_BLOCKS):
+        if clean and not (u[0] and u[-1]) and (
+                h.size >= _EDGE_SEARCH_BLAS or not contiguous):
             nonzero = u.nonzero()[0]
             if nonzero.size == 0:
                 return
             lo, hi = int(nonzero[0]), int(nonzero[-1]) + 1
             h, u = h[lo:hi], u[lo:hi]
             rows = hi - lo
-        if _gemm_is_exact(h, u, v, clean):
-            _dgemm(-1.0, v[:, None], u[None, :], beta=1.0, c=h.T,
-                   overwrite_c=True)
+        dims = None if contiguous else _view_dims(h, u, v)
+        if (contiguous or dims) and _gemm_is_exact(h, u, v, clean):
+            if contiguous:
+                _dgemm(-1.0, v[:, None], u[None, :], beta=1.0, c=h.T,
+                       overwrite_c=True)
+            else:
+                _dgemm_view(h, u, v, *dims)
             return
+    if rows * cols <= OUTER_BLOCK:
+        np.subtract(h, np.multiply(u[:, None], v), out=h)
+        return
     step = max(1, OUTER_BLOCK // cols)
-    buf = np.empty((min(step, rows), cols))
+    buf = np.empty((step, cols))
     v = v[None, :]
     for r0 in range(0, rows, step):
         r1 = min(r0 + step, rows)
@@ -571,5 +690,6 @@ def strongly_nonsingular(q, tol=1e-10):
         if abs(u[j, j]) <= tol * scale:
             return False
         factors = u[j + 1:, j] / u[j, j]
-        u[j + 1:, j + 1:] -= np.outer(factors, u[j, j + 1:])
+        # row j lies outside the trailing block, so it is read as it is
+        subtract_outer(u[j + 1:, j + 1:], factors, u[j, j + 1:])
     return True

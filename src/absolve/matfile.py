@@ -7,6 +7,7 @@ parse to exact values; real files round-trip through repr-precision
 floats.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,13 @@ def read_matrix(path):
     the floats fill the array at once. A malformed file raises
     :class:`MatrixFileError` at its first bad line.
     """
-    with open(path, encoding="ascii") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        line_no, byte = _first_non_ascii(path)
+        raise MatrixFileError(path, line_no, f"non-ASCII byte 0x{byte:02x}; "
+                              "matrix files are ASCII") from None
     # a text-mode file yields the same lines as iterating over it
     lines = [(line_no, data)
              for line_no, raw in enumerate(text.split("\n"), start=1)
@@ -97,6 +103,17 @@ def read_matrix(path):
                                        f"found {len(lines) - 1}")
     values.reshape(-1)[:] = floats
     return MatrixData(values=values, kind=kind, ints=ints)
+
+
+def _first_non_ascii(path):
+    """(line number, value) of the first byte of ``path`` above 0x7f, with
+    lines counted as text mode ends them (at ``\\n``, ``\\r\\n`` or
+    ``\\r``)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    at = re.search(rb"[\x80-\xff]", data).start()
+    head = data[:at].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return head.count(b"\n") + 1, data[at]
 
 
 def read_vector(path):

@@ -22,6 +22,7 @@ solvers that exploit structure the generic loop cannot:
   runs the same loop on scaled rows.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -439,10 +440,10 @@ class CompactLUWorkspace:
     gathered search prefix. Inputs and outputs (matrix, right-hand side,
     solution, returned factors) are excluded, and so is the layout of the
     working arrays: the solver keeps the block in one n x n buffer and
-    forms each step's products in a scratch block of up to n^2/4 entries,
-    but an entry of the projector block counts only while a later step
-    can still read it. The peak is that of a layout which reclaims
-    consumed entries, at or below n^2/4 + n.
+    forms the products each new column is summed from in a scratch block
+    of up to n^2/4 entries, but an entry of the projector block counts
+    only while a later step can still read it. The peak is that of a
+    layout which reclaims consumed entries, at or below n^2/4 + n.
     """
 
     storage: StorageMeter
@@ -462,13 +463,18 @@ def implicit_lu_solve(a, b, tol=None, counter=None):
     stays at or below n^2/4 + n entries (reported in
     ``report.workspace.storage.peak``) and the multiply count stays
     within ~10% of n^3/3. The working arrays themselves take
-    n^2 + n^2/4 floats (the n x n buffer and the scratch block of the
-    step's products; about 3.6 MB at n=600), more than the metered
-    ceiling: the buffer trades the ceiling for whole-block numpy calls.
+    n^2 + n^2/4 floats (the n x n buffer and the scratch block that holds
+    the products the new column is summed from; about 3.6 MB at n=600),
+    more than the metered ceiling: the buffer trades the ceiling for
+    whole-block numpy calls.
 
     Each step makes a fixed number of numpy calls on the block, and adds
     the column contributions to the new column in ascending column order,
-    the order of a scalar loop over the columns.
+    the order of a scalar loop over the columns. The block itself, a
+    column slice of the buffer, takes one rank-one update,
+    :func:`absolve.core.subtract_outer`, which runs it as a strided BLAS
+    ``dgemm`` on the slice in place once the block is large enough for
+    that to pay (the solver states no -0 fact, as its block can hold one).
 
     Raises :class:`~absolve.errors.RegularityFailure` when a leading
     principal submatrix is singular (within tolerance).
@@ -483,22 +489,26 @@ def implicit_lu_solve(a, b, tol=None, counter=None):
 
     x = np.zeros(n)
     packed = np.empty((n, n))
-    # products of the step: first row row[i+1:], then column c times row[c]
+    # the products the new column is summed from: first row row[i+1:],
+    # then column c times row[c]
     scratch = np.empty(n * n // 4)
     p_out = []
     pivots = []
     for i in range(n):
         row = a[i]
-        heads = packed[:i, i].copy()
+        # the search vector: the heads of the block's columns, then 1
+        p = packed[:i + 1, i].copy()
+        p[i] = 1.0
+        heads = p[:i]
         meter.alloc(i)
 
         # pivot: projected diagonal entry (H a_i)_i
         d = float(row[:i] @ heads) + float(row[i])
         counter.add(i)
-        a_norm = float(np.linalg.norm(row))
+        a_norm = core._norm(row)
         counter.add(n)
         p_bound = max(1.0, float(np.abs(heads).max()) if i else 1.0) \
-            * float(np.sqrt(i + 1))
+            * math.sqrt(i + 1)
         counter.add(1)
         if abs(d) <= piv_tol * a_norm * p_bound:
             raise RegularityFailure(i)
@@ -512,7 +522,7 @@ def implicit_lu_solve(a, b, tol=None, counter=None):
         counter.add(i)
         x[i] = -alpha
 
-        p_out.append(np.append(heads, 1.0))  # output, not metered
+        p_out.append(p)  # output, not metered
         pivots.append(d)
 
         if i < n - 1:
@@ -532,12 +542,22 @@ def implicit_lu_solve(a, b, tol=None, counter=None):
                 t = np.add.accumulate(prods[:, 0])[-1:]
             t /= d
             counter.add(w)
-            np.negative(t, out=t)
-            np.multiply(heads[:, None], t, out=prods[1:])
-            np.add(body, prods[1:], out=body)
+            # the new column is -t, and body + heads (-t) is body - heads t
+            # bit for bit: the product negates exactly and x + (-y) is
+            # x - y. Only a NaN product that meets a NaN of the block
+            # tells them apart (which NaN numpy's add keeps depends on
+            # its loop), and with d and t finite no product is NaN: a
+            # non-finite head makes d non-finite.
+            if math.isfinite(d) and math.isfinite(t.dot(t)):
+                core.subtract_outer(body, heads, t)
+                np.negative(t, out=packed[i, i + 1:])
+            else:
+                np.negative(t, out=t)
+                np.multiply(heads[:, None], t, out=prods[1:])
+                np.add(body, prods[1:], out=body)
+                packed[i, i + 1:] = t
             counter.add(i * w)
             meter.free(i)  # every column of the block drops its head
-            packed[i, i + 1:] = t
         meter.free(i)
 
     meter.free(max(n - 1, 0))  # the last entry of each of n - 1 columns

@@ -79,6 +79,20 @@ def test_malformed_files_report_the_line(tmp_path, text, line_no):
     assert str(info.value).startswith(f"{path}:{line_no}:")
 
 
+@pytest.mark.parametrize("raw,line_no", [
+    (b"1 1 real\n1.0 % caf\xc3\xa9\n", 2),
+    (b"\xef\xbb\xbf1 1 real\n1.0\n", 1),  # a UTF-8 byte order mark
+    (b"2 1 real\r\n1.0\r\n\r2.0 \xa0\n", 4),
+])
+def test_non_ascii_files_report_the_line(tmp_path, raw, line_no):
+    path = tmp_path / "utf8.txt"
+    path.write_bytes(raw)
+    with pytest.raises(matfile.MatrixFileError) as info:
+        matfile.read_matrix(str(path))
+    assert info.value.line_no == line_no
+    assert str(info.value).startswith(f"{path}:{line_no}: non-ASCII byte")
+
+
 def test_read_vector_rejects_matrices(tmp_path):
     path = write(tmp_path / "m.txt", "2 2 real\n1 2\n3 4\n")
     with pytest.raises(matfile.MatrixFileError):
@@ -272,6 +286,33 @@ def test_missing_file_is_a_data_error(tmp_path, capsys):
     code = cli.main(["solve", str(tmp_path / "nope.txt"), rhs])
     capsys.readouterr()
     assert code == cli.EXIT_DATA
+
+
+def test_non_ascii_file_is_a_data_error(tmp_path, capsys):
+    rhs = write(tmp_path / "rhs.txt", "1 1 real\n1.0\n")
+    mat = tmp_path / "a.txt"
+    mat.write_bytes(b"1 1 real\n1.0 % caf\xc3\xa9\n")
+    code = cli.main(["solve", str(mat), rhs])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_DATA
+    assert out == "" and f"{mat}:2: non-ASCII byte 0xc3" in err
+
+
+@pytest.mark.parametrize("method,extra", [
+    ("kt:a1b1", ["--kt-m", "1"]), ("dio", []), ("absm:m=2:y=energy", []),
+])
+def test_tol_is_a_usage_error_where_no_tolerance_applies(tmp_path, capsys,
+                                                         method, extra):
+    a = [[4, 1, 1], [1, 3, 2], [1, 2, 0]]
+    mat, rhs = solve_files(tmp_path, a, [6, 6, 3], kind="integer")
+    code = cli.main(["solve", mat, rhs, "--method", method, "--tol", "0.9"]
+                    + extra)
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert out == "" and f"--tol does not apply to method {method!r}" in err
+    # without --tol the same call runs the solver
+    assert cli.main(["solve", mat, rhs, "--method", method] + extra) \
+        != cli.EXIT_USAGE
 
 
 def test_shape_mismatch_is_a_data_error(tmp_path, capsys):

@@ -179,15 +179,22 @@ def _fused(h, u, v):
 
 @pytest.fixture
 def dgemm_calls(monkeypatch):
-    """Counts the BLAS calls of :func:`core.subtract_outer`."""
+    """Records the BLAS calls of :func:`core.subtract_outer` as the
+    ``(cols, rows)`` of the update, both f2py's on a C-contiguous ``h``
+    and the strided ones on a row-major view."""
     calls = []
-    real = core._dgemm
+    real, real_view = core._dgemm, core._dgemm_view
 
     def counting(*args, **kwargs):
         calls.append(kwargs["c"].shape)
         return real(*args, **kwargs)
 
+    def counting_view(h, *args):
+        calls.append(h.shape[::-1])
+        return real_view(h, *args)
+
     monkeypatch.setattr(core, "_dgemm", counting)
+    monkeypatch.setattr(core, "_dgemm_view", counting_view)
     return calls
 
 
@@ -349,9 +356,157 @@ def test_subtract_outer_updates_a_column_slice_in_its_parent(dgemm_calls):
     h = parent[:, 100:]
     assert h.size >= core.BLAS_MIN
     # f2py would update a copy of a strided view: the slice takes the
-    # row-block path and the parent buffer sees the update
+    # strided dgemm, whose leading dimension is the parent's row length,
+    # and the parent buffer sees the update
     _check_subtract_outer(h, u, _full_mantissa(rng, 200), parent=parent)
+    assert dgemm_calls == [(200, 300)]
+
+
+def _check_view_update(parent, index, u, v, fact=False):
+    """subtract_outer on the view ``parent[index]``: the view gets the
+    unfused bytes, and no entry of parent outside it changes."""
+    h = parent[index]
+    outside = np.ones(parent.shape, dtype=bool)
+    outside[index] = False
+    before = parent.copy()
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = h - np.outer(u, v)
+        core.subtract_outer(h, u, v, no_negative_zero=fact)
+    assert h.tobytes() == expected.tobytes()
+    assert np.array_equal(np.signbit(h), np.signbit(expected))
+    assert parent[outside].tobytes() == before[outside].tobytes()
+
+
+@pytest.mark.parametrize("fact", (False, True))
+@pytest.mark.parametrize("index", (
+    np.s_[:, 37:],  # a column slice
+    np.s_[11:200, 3:250],  # rows and columns cut off
+    np.s_[::2, 5:205],  # a row stride of two parent rows
+), ids=("columns", "rows-and-columns", "every-other-row"))
+def test_subtract_outer_takes_the_strided_dgemm_on_views(fact, index,
+                                                         dgemm_calls):
+    # near-cancelling data: a fused kernel would differ in most entries
+    rng = np.random.default_rng(43)
+    big, _, _ = _near_cancellation(rng, 250, 260)
+    rows, cols = big[index].shape
+    assert not big[index].flags.c_contiguous
+    assert rows * cols >= max(core.BLAS_MIN, core._CHECKED_VIEW_MIN)
+    u, v = _full_mantissa(rng, rows), _full_mantissa(rng, cols)
+    _check_view_update(big, index, u, v, fact)
+    assert dgemm_calls == [(cols, rows)]
+
+
+def test_subtract_outer_reads_u_with_its_own_stride(dgemm_calls):
+    # gilu deflates u[:, i+1:] against u[:, i], a column of the same
+    # buffer: the dgemm reads it with the row length as its stride
+    rng = np.random.default_rng(44)
+    big, _, _ = _near_cancellation(rng, 120, 90)
+    u = big[:, 40]
+    assert u.strides[0] == big.strides[0]
+    _check_view_update(big, np.s_[:, 41:], u, _full_mantissa(rng, 49),
+                       fact=True)
+    assert dgemm_calls == [(49, 120)]
+
+
+def test_subtract_outer_keeps_views_it_cannot_pass_to_blas_on_row_blocks(
+        dgemm_calls):
+    rng = np.random.default_rng(45)
+    big, _, _ = _near_cancellation(rng, 200, 200)
+    u, v = _full_mantissa(rng, 190), _full_mantissa(rng, 150)
+    # reversed rows, a column stride of -1, and a strided v
+    _check_view_update(big, np.s_[194:4:-1, 50:], u, v)
+    _check_view_update(big, np.s_[:190, 149::-1], u, v)
+    _check_view_update(big, np.s_[:190, 50:], u, np.repeat(v, 2)[::2])
+    # a -0 in the view and a product of exactly -0 there
+    big[0, 50], u[0], v[0] = -0.0, -0.0, 1.0
+    _check_view_update(big, np.s_[:190, 50:], u, v)
+    assert big[0, 50] == 0.0 and not np.signbit(big[0, 50])
     assert dgemm_calls == []
+
+
+def test_strided_updates_from_several_threads_keep_their_own_shapes():
+    import threading
+    rng = np.random.default_rng(47)
+    # four views of different shapes and leading dimensions, each updated
+    # 30 times by its own thread while the others run
+    jobs = []
+    for rows, width, left in ((70, 130, 3), (90, 100, 40), (65, 200, 100),
+                              (120, 64, 1)):
+        big, _, _ = _near_cancellation(rng, rows, width)
+        cols = width - left
+        steps = [(_full_mantissa(rng, rows), _full_mantissa(rng, cols))
+                 for _ in range(30)]
+        expected = big.copy()
+        for u, v in steps:
+            expected[:, left:] = expected[:, left:] - np.outer(u, v)
+        jobs.append((big, left, steps, expected))
+
+    def run(big, left, steps):
+        for u, v in steps:
+            core.subtract_outer(big[:, left:], u, v, no_negative_zero=True)
+
+    threads = [threading.Thread(target=run, args=job[:3]) for job in jobs]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for big, _, _, expected in jobs:
+        assert big.tobytes() == expected.tobytes()
+
+
+def test_view_leading_dimensions_must_fit_a_c_int():
+    buf = np.zeros(8)
+    u, v = np.zeros(2), np.zeros(3)
+    # views that are never written: only their strides are read
+    fits = np.lib.stride_tricks.as_strided(buf, (2, 3), (8 * 5, 8))
+    assert core._view_dims(fits, u, v) == (1, 5)
+    wide = np.lib.stride_tricks.as_strided(buf, (2, 3), (8 * 2 ** 31, 8))
+    assert core._view_dims(wide, u, v) is None
+    spread = np.lib.stride_tricks.as_strided(buf, (2,), (8 * 2 ** 31,))
+    assert core._view_dims(fits, spread, v) is None
+
+
+def _signed_specials(draw, rng, a):
+    """Sets, one time in two, about a tenth of a's entries to +-0 and,
+    one time in ten, a few to +-inf or NaN."""
+    if a.size == 0:
+        return
+    if draw(st.booleans()):
+        mask = rng.random(a.shape) < 0.1
+        a[mask] = rng.choice([-0.0, 0.0], int(mask.sum()))
+    if draw(st.integers(0, 9)) == 0:
+        for _ in range(draw(st.integers(1, 2))):
+            idx = tuple(int(rng.integers(k)) for k in a.shape)
+            a[idx] = draw(st.sampled_from((np.inf, -np.inf, np.nan)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_subtract_outer_on_any_view_is_the_unfused_update(data):
+    draw = data.draw
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # 0 rows or columns, and sizes on both sides of BLAS_MIN and of
+    # _CHECKED_VIEW_MIN
+    size = st.one_of(st.integers(0, 6), st.integers(40, 180))
+    rows, cols = draw(size), draw(size)
+    top, left = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    width = left + cols + draw(st.integers(0, 5))  # the leading dimension
+    parent = _full_mantissa(rng, (top + rows + draw(st.integers(0, 2)),
+                                  width))
+    index = np.s_[top:top + rows, left:left + cols]
+    if left > 0 and draw(st.booleans()):
+        u = parent[top:top + rows, left - 1]  # a column beside the view
+    else:
+        u = _full_mantissa(rng, rows)
+    v = _full_mantissa(rng, cols)
+    for a in (parent[index], u, v):
+        _signed_specials(draw, rng, a)
+    fact = draw(st.booleans())
+    if fact:
+        # the caller states that the view holds no -0
+        h = parent[index]
+        h[h == 0.0] = 0.0
+    _check_view_update(parent, index, u, v, fact)
 
 
 @pytest.mark.parametrize("signed_zeros", (False, True))
@@ -475,6 +630,45 @@ def test_engine_ilu_updates_only_the_rows_below_its_zero_block(dgemm_calls):
         assert dgemm_calls == [(n, n)] * n
 
 
+def test_gilu_and_packed_lu_update_their_column_slices_on_blas(
+        dgemm_calls):
+    from absolve import strategies
+    n = 200
+    rng = np.random.default_rng(46)
+    a = rng.standard_normal((n, n)) + n * np.eye(n)
+    b = rng.standard_normal(n)
+    strategies.gilu_solve(a, b, np.eye(n))
+    # step i deflates the n x (n-1-i) trailing columns, from BLAS_MIN
+    # entries on BLAS; direction i is zero below row i, and the update
+    # leaves those rows out
+    assert dgemm_calls == [(n - 1 - i, i + 1) for i in range(n - 1)
+                           if n * (n - 1 - i) >= core.BLAS_MIN]
+    # the packed solver's block at step i is i x (n-1-i); it states no
+    # -0 fact, so its updates take BLAS from _CHECKED_VIEW_MIN entries
+    n = 300
+    a = rng.standard_normal((n, n)) + n * np.eye(n)
+    b = rng.standard_normal(n)
+    dgemm_calls.clear()
+    strategies.implicit_lu_solve(a, b)
+    assert dgemm_calls == [(n - 1 - i, i) for i in range(n - 1)
+                           if i * (n - 1 - i) >= core._CHECKED_VIEW_MIN]
+    assert dgemm_calls
+
+
+@pytest.mark.parametrize("fact", (False, True))
+@pytest.mark.parametrize("shape", ((64, 63), (64, 64), (127, 128),
+                                   (128, 128)))
+def test_views_take_blas_from_their_size_gates(fact, shape, dgemm_calls):
+    # BLAS_MIN entries with the -0 fact, _CHECKED_VIEW_MIN without it
+    rng = np.random.default_rng(48)
+    rows, cols = shape
+    big, _, _ = _near_cancellation(rng, rows, cols + 5)
+    _check_view_update(big, np.s_[:, 5:], _full_mantissa(rng, rows),
+                       _full_mantissa(rng, cols), fact)
+    gate = core.BLAS_MIN if fact else core._CHECKED_VIEW_MIN
+    assert dgemm_calls == ([(cols, rows)] if rows * cols >= gate else [])
+
+
 @pytest.fixture
 def negative_zero_scans(monkeypatch):
     """Counts the calls of :func:`core._holds_negative_zero`."""
@@ -568,6 +762,43 @@ def test_implicit_factorization_requires_full_rank():
 def test_strong_nonsingularity_probe():
     assert core.strongly_nonsingular(np.array([[2.0, 1.0], [1.0, 2.0]]))
     assert not core.strongly_nonsingular(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def _eliminates_without_pivoting(q, tol=1e-10):
+    """The probe's elimination with the unfused numpy update."""
+    u = np.array(q, dtype=float)
+    scale = max(1.0, float(np.abs(u).max())) if u.size else 1.0
+    for j in range(u.shape[0]):
+        if abs(u[j, j]) <= tol * scale:
+            return False
+        factors = u[j + 1:, j] / u[j, j]
+        u[j + 1:, j + 1:] -= np.outer(factors, u[j, j + 1:])
+    return True
+
+
+def test_strong_nonsingularity_verdicts_match_the_unfused_elimination(
+        dgemm_calls):
+    rng = np.random.default_rng(57)
+    probes = [np.array([[2.0, 1.0], [1.0, 2.0]]),
+              np.array([[0.0, 1.0], [1.0, 0.0]]), np.empty((0, 0)),
+              # signed zeros: -0 pivots and a -0 in the trailing block
+              np.array([[-0.0, 1.0], [1.0, 2.0]]),
+              np.array([[1.0, -0.0, 0.0], [-0.0, 1.0, -0.0],
+                        [0.0, -0.0, 1.0]])]
+    for n in (3, 8, 70, 150):
+        a = rng.standard_normal((n, n))
+        probes += [a + n * np.eye(n), a]
+        # a leading minor that vanishes after round-off only
+        sing = a + n * np.eye(n)
+        sing[n // 2, :n // 2 + 1] = sing[0, :n // 2 + 1] \
+            + sing[1, :n // 2 + 1]
+        probes.append(sing)
+    verdicts = [core.strongly_nonsingular(q) for q in probes]
+    assert verdicts == [_eliminates_without_pivoting(q) for q in probes]
+    assert True in verdicts and False in verdicts
+    # the large trailing blocks take the strided dgemm
+    assert any(rows * cols >= core._CHECKED_VIEW_MIN
+               for cols, rows in dgemm_calls)
 
 
 def test_multiply_count_is_frozen_for_the_smallest_solve():

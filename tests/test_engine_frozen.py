@@ -16,6 +16,10 @@ same on one and on two BLAS threads. Matrix-matrix products with long
 inner dimensions are not: ``gilu_solve``'s seed product ``h1^T z`` and
 the KT stages at n=150 change bytes with the thread count, so the grid
 uses exact seed products and KT systems up to n=70.
+
+A second digest freezes the packed implicit LU solver in the same way,
+on full-mantissa, sparse small-integer (whose exact zeros put -0.0 in
+the packed block) and NaN-holding systems.
 """
 
 import hashlib
@@ -27,6 +31,9 @@ from absolve.errors import AbsError
 
 ENGINE_DIGEST = ("9d533a2193e715aff0f34aea94387e66"
                  "1fdd4616c63db9ef1d6d708868c18a0d")
+# the packed implicit LU solver, recorded with its two-pass numpy update
+PACKED_LU_DIGEST = ("56a1f6f9dc807044b1f6ae8febe09ee6"
+                    "7c397f8570c953cfd681d01371b61da2")
 
 SIZES = (*range(1, 40), 63, 64, 65, 100, 129, 200, 257, 300)
 ENGINE_STRATEGIES = ("huang", "mhuang", "ilu", "ilx", "iqr")
@@ -178,14 +185,75 @@ def engine_runs():
     return runs
 
 
-def engine_digest():
+def _sparse_ints(rng, n):
+    """Small integers, nine in ten of them zero, on a dominant diagonal:
+    every leading minor is regular, and the exact zeros of the block
+    make the packed solver's new columns hold -0.0."""
+    k = _ints(rng, n, n)
+    k[np.abs(k) > 100] = 0.0
+    return k + 1024 * np.eye(n)
+
+
+def packed_lu_runs():
+    """(label, thunk) for every run of the packed implicit LU grid."""
+    runs = []
+    for n in SIZES:
+        rng = problems.Lcg64(2000 + n)
+        a = _floats(rng, n, n) + n * np.eye(n)
+        b = _floats(rng, n)
+        sparse = _sparse_ints(rng, n)
+        runs += [
+            (f"packed/{n}", lambda a=a, b=b:
+             strategies.implicit_lu_solve(a, b)),
+            (f"packed-sparse/{n}", lambda a=sparse, b=b:
+             strategies.implicit_lu_solve(a, b)),
+        ]
+        if n in (64, 129):
+            # an inf makes its row's norm inf, which fails the pivot
+            # test; a NaN passes it and spreads: right of the diagonal
+            # it makes one entry of the new column NaN while the heads
+            # of the block stay finite, left of it it makes the pivot
+            # NaN and everything after it
+            for col, bad_value in ((3, np.inf), (3, np.nan),
+                                   (n - 1, np.nan)):
+                bad = a.copy()
+                bad[n // 2, col] = bad_value
+                runs.append((f"packed-{bad_value}@{col}/{n}",
+                             lambda a=bad, b=b:
+                             strategies.implicit_lu_solve(a, b)))
+            # a singular leading minor: the failure names its row
+            sing = a.copy()
+            sing[n // 2, :n // 2 + 1] = a[0, :n // 2 + 1] + a[1, :n // 2 + 1]
+            runs.append((f"packed-singular/{n}", lambda a=sing, b=b:
+                         strategies.implicit_lu_solve(a, b)))
+    # generated systems; the rank-deficient ones put -0.0 in the block
+    # where products are zero, and fail on the row of their rank
+    for seed, n, rank in ((3, 150, None), (9, 200, None), (5, 300, None),
+                          (7, 200, 150), (5, 300, 225)):
+        spec = problems.ProblemSpec(kind="determined", n=n, seed=seed,
+                                    target_rank=rank)
+        p = problems.generate(spec)
+        runs.append((f"packed/determined,n={n},seed={seed},rank={rank}",
+                     lambda p=p: strategies.implicit_lu_solve(p.a, p.b)))
+    return runs
+
+
+def _digest(runs):
     digest = hashlib.sha256()
     # the runs with an inf in the data spread NaNs on purpose
-    with np.errstate(invalid="ignore", over="ignore"):
-        for label, call in engine_runs():
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for label, call in runs:
             digest.update(repr((label, _run(call))).encode())
     return digest.hexdigest()
 
 
+def engine_digest():
+    return _digest(engine_runs())
+
+
 def test_engine_output_is_frozen():
     assert engine_digest() == ENGINE_DIGEST
+
+
+def test_packed_implicit_lu_output_is_frozen():
+    assert _digest(packed_lu_runs()) == PACKED_LU_DIGEST

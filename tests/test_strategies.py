@@ -228,15 +228,31 @@ def test_gilu_count_is_frozen():
     assert rep.mult_count == 10230
 
 
-@pytest.mark.parametrize("n", (1, 2, 3, 8, 9, 10, 30, 64, 301))
-def test_packed_lu_reproduces_the_column_loop_bit_for_bit(n):
+@pytest.mark.parametrize("n, sparse", [
+    *(pytest.param(n, False, id=str(n))
+      for n in (1, 2, 3, 8, 9, 10, 30, 64, 301)),
+    *(pytest.param(n, True, id=f"sparse-{n}") for n in (2, 9, 64, 301)),
+])
+def test_packed_lu_reproduces_the_column_loop_bit_for_bit(n, sparse):
     # n >= 9 reaches a last step whose block has one column and at
     # least nine rows to sum
     rng = np.random.default_rng(1000 + n)
-    scale = 10.0 ** rng.integers(-3, 4, size=(n, 1))
-    a = (rng.standard_normal((n, n)) + 2 * np.sqrt(n) * np.eye(n)) * scale
+    if sparse:
+        # small integers, four in five zero: a new column entry that
+        # sums to +0 is stored as -(+0 / d) = -0, and the block's updates
+        # then meet -0 in both the block and the column
+        a = rng.integers(-3, 4, size=(n, n)) \
+            * (rng.random((n, n)) < 0.2) + 4 * np.eye(n)
+        a = a.astype(float)
+    else:
+        scale = 10.0 ** rng.integers(-3, 4, size=(n, 1))
+        a = (rng.standard_normal((n, n)) + 2 * np.sqrt(n) * np.eye(n)) \
+            * scale
     b = rng.standard_normal(n)
     ref = oracles.column_loop_implicit_lu(a, b)
+    if sparse and n > 2:
+        assert any(np.signbit(p[p == 0.0]).any()
+                   for p in ref.state.p_cols)
     rep = strategies.implicit_lu_solve(a, b)
     assert np.array_equal(rep.x, ref.x)
     assert len(rep.state.p_cols) == len(ref.state.p_cols) == n

@@ -23,9 +23,10 @@ its ``environment`` record, and leaves the others as they are.
 Every run lasts ``BENCHMARK.json``'s ``run_seconds``.
 * ``kernel`` times the packed ``implicit_lu_solve``, the engine's
   ``ilu``, ``huang``, ``mhuang`` and ``iqr`` strategies, ``gilu_solve``
-  with unit seeds, ``numpy.linalg.solve``, and one
-  ``core.subtract_outer`` call on an n x n matrix (``u = b``,
-  ``v = a[0]``), on regular systems with n=100, 150, 200, 300 and 600: at
+  with unit seeds, ``numpy.linalg.solve``, one ``core.subtract_outer``
+  call on an n x n matrix (``u = b``, ``v = a[0]``) and one on its
+  trailing n x (n/2) column slice, a strided view as ``gilu_solve``
+  passes it, on regular systems with n=100, 150, 200, 300 and 600: at
   the three smaller sizes per-step dispatch weighs most. Under the key
   ``dio`` it times the exact integer layer: ``bezout_gcd`` over every
   certificate row that ``diophantine.solve`` meets on three n=16
@@ -74,6 +75,8 @@ solvers = {
     "gilu_s": lambda a, b: strategies.gilu_solve(a, b, np.eye(len(b))),
     "lapack_s": np.linalg.solve,
     "subtract_outer_s": lambda a, b: core.subtract_outer(work, b, a[0]),
+    "subtract_outer_slice_s": lambda a, b: core.subtract_outer(
+        tail, b, a[0, :tail.shape[1]]),
 }
 
 
@@ -92,6 +95,8 @@ for n in map(int, sys.argv[2].split(",")):
     p = problems.generate(problems.ProblemSpec(kind="determined", n=n,
                                                seed=n))
     work = p.a.copy()
+    # the trailing n x (n/2) column slice, as gilu_solve deflates it
+    tail = work[:, n - n // 2:]
     out[str(n)] = {name: best_of(lambda: solve(p.a, p.b))
                    for name, solve in solvers.items()}
 
