@@ -124,6 +124,9 @@ def cmd_solve(args):
 
     tol = None
     if args.tol is not None:
+        if not 0.0 <= args.tol < float("inf"):
+            return _fail(f"--tol must be a finite number of at least 0, "
+                         f"got {args.tol!r}", EXIT_USAGE)
         tol = core.Tolerances(dependency=args.tol, pivot=args.tol)
     try:
         x, rank, _ = problems.run_method(

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.linalg.blas
 import scipy.linalg.cython_blas
 
 from .counting import OpCounter
@@ -59,7 +58,8 @@ class Tolerances:
     whole-system floor ``|v| (|A|_F |x| + |b|)``, so a numerically zero
     equation of a derived system reads as redundant rather than as a
     contradiction between round-off terms; the pivot test compares
-    ``|v^T A p|`` against ``pivot * |y_i| * |p|``.
+    ``|v^T A p|`` against ``pivot * |y_i| * |p|``. A negative or NaN
+    field raises ``ValueError``.
     """
 
     dependency: float | None = None
@@ -71,6 +71,8 @@ class Tolerances:
         dep = base if self.dependency is None else self.dependency
         res = base if self.residual is None else self.residual
         piv = base if self.pivot is None else self.pivot
+        if not (dep >= 0 and res >= 0 and piv >= 0):  # a NaN fails too
+            raise ValueError(f"tolerances must be at least 0: {self}")
         return dep, res, piv
 
 
@@ -223,10 +225,10 @@ def solve(a, b, strategy="huang", x1=None, tol=None, keep_iterates=False,
     # the scalar dispatch (as is ``u.dot(v)`` for ``u @ v`` on vectors)
     b_list = b.tolist()
 
-    # The built-in hooks change h only through subtract_outer, which
-    # creates no -0.0 in a matrix that holds none, so one scan of the
-    # start projector answers subtract_outer's -0 question for the run.
-    strategy._no_negative_zero = not _holds_negative_zero(state.h)
+    # The built-in hooks change h only through rank-one updates, which
+    # create no -0.0 in a matrix that holds none, so one scan of the
+    # start projector gives the -0 fact of the run's bound updates.
+    strategy._bound = _BoundUpdate(state.h, not _holds_negative_zero(state.h))
     # multiplies of the current step not yet added to the counter; the
     # step adds them once, and an exception adds what was done
     done = 0
@@ -312,8 +314,8 @@ def solve(a, b, strategy="huang", x1=None, tol=None, keep_iterates=False,
         counter.add(done)
         raise
     finally:
-        # hooks called outside a run get subtract_outer's full check
-        strategy._no_negative_zero = False
+        # hooks called outside a run make one-shot updates
+        strategy._bound = None
 
     res = float(np.linalg.norm(a @ x - b))
     counter.add(m * n + m)
@@ -343,66 +345,27 @@ def _norm(v):
 # engine's updates at n=300 and 600; smaller ones ran slower.
 OUTER_BLOCK = 32768
 
-# Fewest entries of ``h`` for which :func:`subtract_outer` calls BLAS on
-# a C-contiguous ``h`` when the caller states no -0 fact, and on a
-# strided view when it does; a C-contiguous ``h`` with the fact takes
-# BLAS at any size, a strided view without it from ``_CHECKED_VIEW_MIN``
-# entries. With one BLAS
-# thread on a 2-vCPU Xeon VM (fastest decile of 2000 calls): with the
-# fact, the dgemm path takes 3.8, 3.7, 4.0 and 4.2 us at 1 x 1, 8 x 8,
-# 24 x 24 and 40 x 40 against 4.1, 4.5, 5.6 and 7.5 us for the row
-# blocks; without it, the full exactness test adds about 5 us, the row
-# blocks are faster up to 48 x 48 and 40 x 100, the two paths ran equally
-# fast at 64 x 64 and 80 x 80, and BLAS 1.4-1.6x faster at 100 x 100.
-# A strided view takes the ctypes ``dgemm`` of :func:`_dgemm_view`
-# (about 6 us more per call than f2py's, see ``_dgemm``). On column slices
-# (second-fastest of 15 x 2000 calls) it took 11-12 us from 8 x 4 to
-# 32 x 32 with the fact, against 7-9 us for the row blocks, the two ran
-# equally fast near 64 x 32 (2048 entries), and BLAS took 13 us against
-# 20-22 us at 64 x 64 and 100 x 50. Without the fact, on blocks of an
-# n x n buffer as the packed implicit LU passes them (fastest of 30 x 200
-# calls), both took 19-22 us from 64 x 64 to 75 x 74, and BLAS took 18-19
-# us against 24-25 us from 80 x 80 to 120 x 60 and 20 us against 38 us at
-# 150 x 75.
-BLAS_MIN = 4096
+# Fewest entries of an update without the -0 fact from which it tests
+# the magnitudes of ``u`` and ``v`` and, where they pass, takes the
+# ``dgemm``. With one BLAS thread on a 2-vCPU Xeon VM (fastest of 31 x
+# 1000 calls on blocks of an n x (2n + 1) buffer, as the packed implicit
+# LU passes them), the test and the dgemm took 5.8 us from 16 x 16 to
+# 32 x 32, the row blocks 4.5, 5.3 and 6.6 us at 16 x 16, 24 x 24 and
+# 32 x 32; at 48 x 48 6.3 us against 11.2, at 128 x 128 16-17 us against
+# 48-52. With the fact an update takes the dgemm at any size: 3.8 us from
+# 8 x 8 to 32 x 32, up to 1.7 us more than the row blocks (2.1 us at
+# 8 x 8), about a tenth of an n=8 engine step, and 4.2 us against 4.7
+# at 40 x 40.
+_CHECKED_MIN = 1024
 
-# Fewest entries of a strided view from which :func:`subtract_outer`
-# calls BLAS when the caller states no -0 fact. The full check then
-# decides, and on a rank-deficient system it can fail at every step: in
-# the packed implicit LU of a planted rank-150 n=200 system (the
-# bench-suite's ``determined`` n=200 unit) all 126 updates from 4096
-# entries find a -0 in the block and a zero product. Where the check
-# passes, as on full-rank systems, BLAS ran about as fast as the row
-# blocks from 64 x 64 to 75 x 74 and faster from 80 x 80 (see
-# BLAS_MIN); at 128 x 128 it takes 32 us against 59 us. The packed
-# implicit LU, fastest of 12 in-process alternations (7 at n=600) in two
-# runs, one BLAS thread on a 2-vCPU Xeon VM, with this gate, with 4096
-# and on the row blocks: full-rank n=300 26.0-26.1, 25.2-25.9 and
-# 30.7-33.2 ms, n=600 125-184, 131-133 and 207-281 ms, n=200 the same
-# within noise; rank-deficient n=200 8.5-9.0, 10.7-11.8 and 8.2-9.0 ms,
-# n=300 (blocks past this gate) 25.4, 26.1-26.6 and 21.9-22.4 ms.
-_CHECKED_VIEW_MIN = 16384
-
-# Fewest entries of a C-contiguous ``h`` from which an update with the
-# -0 fact looks for the +-0 edge rows of ``u``; the search (``u.nonzero()``
-# and the slices) costs about 2 us. In-process A/B with one BLAS thread
-# on a 2-vCPU Xeon VM: leaving the search out made the engine's ``ilu``
-# 9-24% slower at n=200 and 300 (faster in 1-5 of 21 alternations from
-# n=190 on) and made no clear difference at n=100-175, while it made
-# ``mhuang``'s overdetermined n=100 updates 1-4% faster (in 14 of 15 and
-# 18 of 21 alternations). A strided view, which reaches BLAS only from
-# ``BLAS_MIN`` entries, searches whenever it does: on ``gilu_solve``'s
-# column slices, where each skipped row saves more, searching from 4096
-# entries rather than from 32768 made the solve 8% faster at n=200 and
-# 12% at n=300 (fastest of 15 alternations) and ran as fast at n=100-150.
-_EDGE_SEARCH_BLAS = 32768
-
-# f2py's dgemm for a C-contiguous ``h``: one entry point for both
-# layouts would cost small-calls' n=8-40 updates, as the ctypes call of
-# :func:`_dgemm_view` takes 7.4-7.6 us at 8 x 8 and 24 x 24 against
-# 1.5 us for f2py's (one BLAS thread, 2-vCPU Xeon VM, third-fastest of
-# 21 x 4000 calls), most of it in reading three arrays' addresses.
-_dgemm = scipy.linalg.blas.dgemm
+# Fewest entries of an update with the -0 fact from which it looks for
+# the +-0 edge rows of ``u``. The search adds about 1 us: with a quarter
+# or half of ``u`` zero at its start, a call took 5.1-6.9 us with it and
+# 4.0-5.9 us without from 24 x 24 to 90 x 90, and 7.6-8.5 us against
+# 8.4 at 128 x 128 (fastest of 31 x 2000 calls). Leaving it out made the
+# engine's ``ilu`` 13% and ``gilu_solve`` 18% slower at n=300 (fastest
+# of 61-71 in-process alternations).
+_EDGE_SEARCH_MIN = 16384
 
 
 def _fortran_dgemm():
@@ -410,8 +373,8 @@ def _fortran_dgemm():
     ctypes function of 13 pointers.
 
     numba reaches BLAS by the same route; it needs no compiled code of
-    ours. Unlike f2py's wrapper it takes every leading dimension as an
-    argument, so it updates a strided view in place, not a copy."""
+    ours. It takes every leading dimension as an argument, so it updates
+    a strided view in place."""
     capsule = scipy.linalg.cython_blas.__pyx_capi__["dgemm"]
     api = ctypes.pythonapi
     name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
@@ -423,54 +386,18 @@ def _fortran_dgemm():
 
 
 _DGEMM = _fortran_dgemm()
-# the arguments every call shares, passed by address: trans = 'N',
-# alpha = -1 and beta = 1
+# The pointers every call shares: trans = 'N', alpha = -1 and beta = 1.
+# The call takes ctypes objects for its pointers: it converts them in
+# half the time it takes for Python ints.
+_PTR = ctypes.c_void_p
 _DGEMM_NOTRANS_CHAR = ctypes.c_char(b"N")
-_DGEMM_NOTRANS = ctypes.addressof(_DGEMM_NOTRANS_CHAR)
 _DGEMM_SCALARS = (ctypes.c_double * 2)(-1.0, 1.0)
-_DGEMM_ALPHA = ctypes.addressof(_DGEMM_SCALARS)
-_DGEMM_BETA = _DGEMM_ALPHA + 8
-# K, M (= lda), N, ldb and ldc of one call
-_DGEMM_DIMS = ctypes.c_int * 5
+_DGEMM_NOTRANS = _PTR(ctypes.addressof(_DGEMM_NOTRANS_CHAR))
+_DGEMM_ALPHA = _PTR(ctypes.addressof(_DGEMM_SCALARS))
+_DGEMM_BETA = _PTR(ctypes.addressof(_DGEMM_SCALARS) + 8)
+_DGEMM_DIMS = ctypes.c_int * 4
 _C_INT_MAX = 2 ** 31 - 1
-
-
-def _view_dims(h, u, v):
-    """``(ldb, ldc)`` with which the Fortran ``dgemm`` updates the
-    row-major view ``h`` in place, reading ``u`` with its own stride, or
-    None.
-
-    A row-major view has unit column stride and a row stride of at least
-    ``cols`` entries; ``v`` must have unit stride, and every dimension
-    must fit a C int."""
-    rows, cols = h.shape
-    row_step, col_step = h.strides
-    if not (col_step == 8 and (v.strides[0] == 8 or cols == 1)
-            and u.flags.aligned and v.flags.aligned):
-        return None
-    if rows == 1:
-        return 1, cols  # neither leading dimension is stepped over
-    u_step = u.strides[0]
-    if row_step % 8 or u_step <= 0 or u_step % 8:
-        return None
-    ldb, ldc = u_step // 8, row_step // 8
-    if ldc < cols or max(ldb, ldc, rows) > _C_INT_MAX:
-        return None
-    return ldb, ldc
-
-
-def _dgemm_view(h, u, v, ldb, ldc):
-    """``h -= np.outer(u, v)`` on the row-major view ``h`` by one k=1
-    Fortran ``dgemm`` on ``h^T``: ``dgemm('N', 'N', M=cols, N=rows,
-    K=1, alpha=-1, A=v, lda=cols, B=u, ldb, beta=1, C=h, ldc)``."""
-    rows, cols = h.shape
-    # each call has its own block of dimensions, so threads share none
-    dims = _DGEMM_DIMS(1, cols, rows, ldb, ldc)
-    k = ctypes.addressof(dims)
-    _DGEMM(_DGEMM_NOTRANS, _DGEMM_NOTRANS, k + 4, k + 8, k, _DGEMM_ALPHA,
-           v.ctypes.data, k + 4, u.ctypes.data, k + 12, _DGEMM_BETA,
-           h.ctypes.data, k + 16)
-
+_F64 = np.dtype(np.float64)
 
 # -0.0 read as an int64 is the smallest int64, so one integer min over
 # the bits of a float64 array tells whether it holds a -0.0
@@ -481,119 +408,9 @@ def _holds_negative_zero(a):
     return a.size > 0 and int(a.view(np.int64).min()) == _NEGATIVE_ZERO_BITS
 
 
-def _gemm_is_exact(h, u, v, clean=False):
-    """True when the k=1 ``dgemm`` update of ``h`` equals the unfused
-    ``h - np.outer(u, v)`` bit for bit.
-
-    ``clean`` states that ``h`` holds no -0.0 and that ``v`` is finite."""
-    if not (h.dtype == u.dtype == v.dtype == np.float64
-            and h.flags.aligned and h.flags.writeable):
-        return False  # BLAS would work on converted copies
-    # a sum of squares is finite only if every entry is (an inf or a NaN
-    # makes it inf or NaN); one that overflows takes the full test below
-    if clean and math.isfinite(u.dot(u)):
-        return True
-    mag_u, mag_v = np.abs(u), np.abs(v)
-    # a NaN fails both comparisons
-    if not (mag_u.max() < np.inf and mag_v.max() < np.inf):
-        return False
-    # rounding is monotonic: every product is at least the smallest one
-    if mag_u.min() * mag_v.min() > 0.0:
-        return True
-    return not _holds_negative_zero(h)
-
-
-def subtract_outer(h, u, v, *, no_negative_zero=False):
-    """In place ``h -= np.outer(u, v)``, bit for bit, without the n x n
-    temporary.
-
-    Each entry is ``h[i, j] - u[i] * v[j]`` with the product rounded
-    first, exactly as the unfused expression. ``h`` may be any writable
-    2-D view. ``v`` must not share memory with ``h`` (pass a copy of a
-    row of ``h``), or entries already updated could be read.
-
-    The update is one BLAS ``dgemm`` with inner dimension 1,
-    ``h^T <- h^T - v u^T``, done in place on ``h.T``. It is exact: the
-    kernel's accumulator starts at +0 and takes the single product
-    ``round(u[i] v[j])``, multiplying that by -1 is exact, and adding it
-    to ``h[i, j]`` rounds once, as the unfused subtraction does. The
-    entries are independent, so any BLAS thread count gives the same
-    bytes. The one difference is a product of exactly -0, which the +0
-    accumulator turns into +0: where ``h[i, j]`` is -0 the kernel leaves
-    -0 and the unfused expression gives +0.
-
-    Two layouts take BLAS. A C-contiguous ``h`` (F-contiguous ``h.T``)
-    goes to SciPy's f2py ``dgemm``, which costs the least per call. Any
-    other row-major view, one with unit column stride and a row stride
-    of at least ``cols`` (a column slice such as ``u[:, i+1:]``, whose
-    copy is what f2py would update), goes to the Fortran ``dgemm`` that
-    SciPy exports for Cython, called through ctypes with ``ldc`` set to
-    the row stride, so the slice itself is updated (:func:`_dgemm_view`).
-    The BLAS call is taken only when ``h`` is float64, ``u`` and ``v``
-    are finite, and either no product can round to zero or ``h`` holds
-    no -0.0. Neither path creates a -0 in a matrix that holds none (in
-    round-to-nearest ``x - y`` is -0 only when ``x`` is), so a run that
-    starts without one keeps the BLAS path. Everything else takes the
-    row-block path: the products are formed a block of rows at a time in
-    a buffer of about ``OUTER_BLOCK`` entries and subtracted by numpy.
-
-    ``no_negative_zero=True`` states that ``h`` holds no -0.0, which the
-    caller knows from one check of the matrix its run started with
-    (:func:`solve` makes it once per run). The call then skips the tests
-    on the magnitudes of ``u`` and ``v`` and the scan of ``h``, and only
-    checks that the sums of squares ``v . v`` and ``u . u`` are finite:
-    that fails on any inf or NaN and, conservatively, on squares that
-    overflow, which fall back to the full check. A true statement
-    changes no byte, only the time; a false one can leave a -0 where the
-    unfused expression gives +0. With the statement a C-contiguous
-    ``h`` takes the ``dgemm`` at any size and a strided view from
-    ``BLAS_MIN`` entries; without it a C-contiguous ``h`` takes it from
-    ``BLAS_MIN`` entries and a strided view from ``_CHECKED_VIEW_MIN``.
-    Below those sizes the full check or the ctypes call costs more than
-    the row blocks save, or, for a strided view whose check fails, a
-    larger part of the update.
-
-    Under that statement and with ``v`` finite, the update also leaves
-    out the leading and trailing rows where ``u`` is +-0, and does
-    nothing when all of ``u`` is. Such a row comes out as it went in:
-    each product ``u[i] v[j]`` is +-0, and ``h[i, j] - (+-0)`` is
-    ``h[i, j]`` for every ``h[i, j]`` but -0 (``+0 - (+-0)`` is +0) and
-    a signalling NaN, which numpy never makes. This covers the zeroed
-    leading rows of the implicit LU projector and the trailing zeros of
-    the deflated directions of :func:`absolve.strategies.gilu_solve`.
-    The search for those rows runs only from a size at which it costs
-    less than the rows it saves: ``_EDGE_SEARCH_BLAS`` entries (about
-    180 x 180) for a C-contiguous ``h``, and ``BLAS_MIN`` for a strided
-    one, where each skipped row saves more. An update that has
-    searched stays on BLAS however few rows are left: a ``dgemm`` of a
-    few rows takes about 3 us, less than the row blocks (with one BLAS
-    thread on a 2-vCPU Xeon VM, falling back to them made ``mhuang`` on
-    an overdetermined n=100 system 15% slower than skipping no rows).
-    """
+def _row_blocks(h, u, v):
+    """``h -= np.outer(u, v)`` by numpy, a block of rows at a time."""
     rows, cols = h.shape
-    if rows == 0 or cols == 0:
-        return
-    clean = no_negative_zero and math.isfinite(v.dot(v))
-    contiguous = h.flags.c_contiguous
-    if h.size >= ((0 if contiguous else BLAS_MIN) if clean
-                  else (BLAS_MIN if contiguous else _CHECKED_VIEW_MIN)):
-        # u is dense in most updates: two scalar tests before any scan
-        if clean and not (u[0] and u[-1]) and (
-                h.size >= _EDGE_SEARCH_BLAS or not contiguous):
-            nonzero = u.nonzero()[0]
-            if nonzero.size == 0:
-                return
-            lo, hi = int(nonzero[0]), int(nonzero[-1]) + 1
-            h, u = h[lo:hi], u[lo:hi]
-            rows = hi - lo
-        dims = None if contiguous else _view_dims(h, u, v)
-        if (contiguous or dims) and _gemm_is_exact(h, u, v, clean):
-            if contiguous:
-                _dgemm(-1.0, v[:, None], u[None, :], beta=1.0, c=h.T,
-                       overwrite_c=True)
-            else:
-                _dgemm_view(h, u, v, *dims)
-            return
     if rows * cols <= OUTER_BLOCK:
         np.subtract(h, np.multiply(u[:, None], v), out=h)
         return
@@ -604,6 +421,141 @@ def subtract_outer(h, u, v, *, no_negative_zero=False):
         r1 = min(r0 + step, rows)
         prod = np.multiply(u[r0:r1, None], v, out=buf[:r1 - r0])
         np.subtract(h[r0:r1], prod, out=h[r0:r1])
+
+
+class _BoundUpdate:
+    """The rank-one updates of one matrix ``h``, bound once for a run.
+
+    Binding reads what every step shares: whether ``h`` is a row-major
+    float64 view that the ``dgemm`` can update in place, its address and
+    row stride, and the caller's -0 fact. ``bound(u, v)`` is then
+    ``h[:len(u), -len(v):] -= np.outer(u, v)``, bit for bit, on the
+    top-right block that the lengths of ``u`` and ``v`` give, by the
+    rules of :func:`subtract_outer`. The call copies ``u`` and ``v`` into
+    a workspace that the binding owns, so no step reads an address or a
+    layout. A binding is for one thread at a time.
+    """
+
+    __slots__ = ("h", "_rows", "_cols", "_clean", "_target", "_ld", "_uv",
+                 "_uv_at", "_dims", "_u_at", "_h_at", "_args")
+
+    def __init__(self, h, no_negative_zero=False):
+        rows, cols = h.shape
+        row_step, col_step = h.strides
+        ld = row_step // 8 if rows > 1 else max(cols, 1)
+        flags = h.flags
+        # unit column stride and a row stride of at least cols, in C ints
+        blas = (h.dtype is _F64 and flags.aligned and flags.writeable
+                and h.size > 0 and (cols == 1 or col_step == 8)
+                and (rows == 1 or (row_step % 8 == 0 and ld >= cols))
+                and max(rows, ld) <= _C_INT_MAX)
+        self.h, self._rows, self._cols, self._ld = h, rows, cols, ld
+        self._clean = no_negative_zero
+        self._target = h.ctypes.data if blas else None
+        workspace = (ctypes.c_double * (rows + cols))()
+        self._uv = np.frombuffer(workspace)
+        self._uv_at = at = ctypes.addressof(workspace)
+        # K (= ldb), M (= lda), N and ldc
+        self._dims = _DGEMM_DIMS(1, 0, 0, ld)
+        d = ctypes.addressof(self._dims)
+        k, m, n, ldc = _PTR(d), _PTR(d + 4), _PTR(d + 8), _PTR(d + 12)
+        self._u_at, self._h_at = _PTR(), _PTR()
+        # dgemm('N', 'N', M, N, K, -1, A=v, lda, B=u, ldb, 1, C=h, ldc)
+        # on h^T, with v at the end of the workspace
+        self._args = (_DGEMM_NOTRANS, _DGEMM_NOTRANS, m, n, k, _DGEMM_ALPHA,
+                      _PTR(at + 8 * rows), m, self._u_at, k, _DGEMM_BETA,
+                      self._h_at, ldc)
+
+    def __call__(self, u, v):
+        rows, cols = len(u), len(v)
+        if rows > self._rows or cols > self._cols:
+            raise ValueError(f"a {rows} x {cols} update does not fit a "
+                             f"{self._rows} x {self._cols} matrix")
+        if rows == 0 or cols == 0:
+            return
+        clean = self._clean
+        if (self._target is not None and u.dtype is _F64
+                and v.dtype is _F64
+                and (clean or rows * cols >= _CHECKED_MIN)):
+            # u ends where v starts, so one dot covers both
+            uv, top = self._uv, self._rows
+            lo, hi = top - rows, top
+            uv[lo:hi] = u
+            uv[hi:hi + cols] = v
+            both = uv[lo:hi + cols]
+            exact = math.isfinite(both.dot(both))
+            if exact and not clean:
+                mag = np.abs(both)
+                exact = mag[mag[:rows].argmin()] \
+                    * mag[rows + mag[rows:].argmin()] > 0.0
+            # u is dense in most updates: two scalar tests first
+            elif exact and rows * cols >= _EDGE_SEARCH_MIN \
+                    and not (uv[lo] and uv[hi - 1]):
+                nonzero = uv[lo:hi].nonzero()[0]
+                if nonzero.size == 0:
+                    return
+                lo, hi = lo + int(nonzero[0]), lo + int(nonzero[-1]) + 1
+            if exact:
+                dims = self._dims
+                dims[1], dims[2] = cols, hi - lo
+                self._u_at.value = self._uv_at + 8 * lo
+                # the block's row lo - (top - rows), its first column
+                self._h_at.value = self._target + 8 * (
+                    (lo - top + rows) * self._ld + self._cols - cols)
+                _DGEMM(*self._args)
+                return
+        _row_blocks(self.h[:rows, self._cols - cols:], u, v)
+
+
+def subtract_outer(h, u, v, *, no_negative_zero=False):
+    """In place ``h -= np.outer(u, v)``, bit for bit, without the n x n
+    temporary.
+
+    Each entry is ``h[i, j] - u[i] * v[j]`` with the product rounded
+    first, as in the unfused expression. ``h`` may be any writable 2-D
+    view; ``v`` must not share memory with ``h`` (pass a copy of a row
+    of ``h``), or the row blocks could read entries already updated.
+
+    The one BLAS route is a k=1 call of the Fortran ``dgemm`` that SciPy
+    exports for Cython, through ctypes, on ``h^T`` in place with the row
+    stride of ``h`` as its leading dimension. It is exact: the kernel's
+    accumulator starts at +0 and takes the one product
+    ``round(u[i] v[j])``, multiplying that by -1 is exact, and adding it
+    to ``h[i, j]`` rounds once, as the unfused subtraction does; the
+    entries are independent, so any BLAS thread count gives the same
+    bytes. The one difference is a product of exactly -0, which the
+    accumulator turns into +0: where ``h[i, j]`` is -0 the kernel leaves
+    -0 and the unfused expression gives +0. The route is therefore taken
+    when ``h`` is a row-major float64 view (unit column stride, a row
+    stride of at least ``cols``), the sum of the squares of ``u`` and
+    ``v`` is finite (an inf or a NaN fails, and so, conservatively, does
+    a sum that overflows), and either ``no_negative_zero=True`` states
+    that ``h`` holds no -0.0 or no product can round to zero
+    (``min|u| min|v| > 0``, by the monotonicity of rounding). The
+    magnitude test runs from ``_CHECKED_MIN`` entries; the statement
+    takes the route at any size. Everything else takes numpy row blocks
+    of about ``OUTER_BLOCK`` entries. Neither path creates a -0 in a
+    matrix that holds none (``x - y`` is -0 only when ``x`` is), so one
+    check of the matrix a run starts with states the fact for the run.
+    A true statement changes no byte; a false one can leave a -0 where
+    the unfused expression gives +0.
+
+    Under the statement an update of ``_EDGE_SEARCH_MIN`` entries or more
+    also leaves out the leading and trailing rows where ``u`` is +-0, and
+    does nothing when all of ``u`` is: ``h[i, j] - (+-0)`` is ``h[i, j]``
+    for every ``h[i, j]`` but -0 and a signalling NaN, which numpy never
+    makes. These are the zeroed rows of the implicit LU projectors and
+    the trailing zeros of the deflated directions of
+    :func:`absolve.strategies.gilu_solve`.
+
+    The call binds ``h`` for one update (:class:`_BoundUpdate`); the
+    engine, the direction deflation and the packed implicit LU bind
+    their matrix once per run.
+    """
+    if u.shape != h.shape[:1] or v.shape != h.shape[1:]:
+        raise ValueError(f"u {u.shape} and v {v.shape} do not match h "
+                         f"{h.shape}")
+    _BoundUpdate(h, no_negative_zero)(u, v)
 
 
 def update_projector(state, scaled_row, w, tol=None):
@@ -647,6 +599,9 @@ def general_solution(report, q):
     """
     if report.x is None:
         raise ValueError("no particular solution: the run was incompatible")
+    if report.state.h is None:
+        raise ValueError("no projector: the run deflated its directions "
+                         "without forming one")
     q = np.asarray(q, dtype=float)
     return report.x + report.state.h.T @ q
 

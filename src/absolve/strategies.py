@@ -43,9 +43,9 @@ class ParameterStrategy:
     """
 
     resolves_inconsistency = False
-    # set by core.solve for the length of a run when the start projector
-    # holds no -0.0; the updates pass it on to core.subtract_outer
-    _no_negative_zero = False
+    # the run's projector with its -0 fact, bound by core.solve for the
+    # length of a run; the updates go through it
+    _bound = None
 
     def initial_h(self, n):
         return np.eye(n)
@@ -85,6 +85,15 @@ class ParameterStrategy:
     def update_h(self, state, s, w, p, den):
         self._oblique_update(state, s, w, w @ state.h)
 
+    def _subtract_outer(self, h, u, v):
+        """``h -= np.outer(u, v)`` through the run's bound projector, or
+        as a one-shot update outside a run."""
+        bound = self._bound
+        if bound is not None and bound.h is h:
+            bound(u, v)
+        else:
+            core.subtract_outer(h, u, v)
+
     def _oblique_update(self, state, s, w, wh):
         """``H <- H - s (w^T H) / (w^T s)`` given ``wh = w^T H``."""
         den_w = float(w @ s)
@@ -92,8 +101,7 @@ class ParameterStrategy:
         if den_w == 0.0:
             state.counter.add(n * n + n)
             raise DivisionByZero("projector update pivot w.H.y vanished")
-        core.subtract_outer(state.h, s, wh / den_w,
-                            no_negative_zero=self._no_negative_zero)
+        self._subtract_outer(state.h, s, wh / den_w)
         state.counter.add(2 * (n * n + n))
 
 
@@ -113,8 +121,7 @@ class HuangStrategy(ParameterStrategy):
 
     def update_h(self, state, s, w, p, den):
         n = state.n
-        core.subtract_outer(state.h, s, s / den,
-                            no_negative_zero=self._no_negative_zero)
+        self._subtract_outer(state.h, s, s / den)
         state.counter.add(n * n + n)
 
 
@@ -150,8 +157,7 @@ class ModifiedHuangStrategy(ParameterStrategy):
         if den_p == 0.0:
             state.counter.add(n)
             raise DivisionByZero("reprojected direction vanished")
-        core.subtract_outer(state.h, p, p / den_p,
-                            no_negative_zero=self._no_negative_zero)
+        self._subtract_outer(state.h, p, p / den_p)
         state.counter.add(n * n + 2 * n)
 
 
@@ -190,11 +196,10 @@ class ImplicitLXStrategy(ParameterStrategy):
     most once.
 
     The update zeroes row k of the projector, and a zeroed row stays
-    zero, with ``s`` +-0 there. :func:`absolve.core.subtract_outer`
-    leaves out such rows where they reach an end of the matrix. Here
-    they are scattered, so most steps update nearly all n rows; in the
-    implicit LU subclass they form a leading block that later updates
-    skip.
+    zero, with ``s`` +-0 there. The rank-one update leaves out such rows
+    where they reach an end of the matrix. Here they are scattered, so
+    most steps update nearly all n rows; in the implicit LU subclass
+    they form a leading block that later updates skip.
     """
 
     def begin(self, a):
@@ -221,8 +226,7 @@ class ImplicitLXStrategy(ParameterStrategy):
         if pivot == 0.0:
             raise DivisionByZero("pivot component of the projected row is 0")
         # dividing on the s side zeroes row k exactly (s_k/s_k == 1)
-        core.subtract_outer(state.h, s / pivot, state.h[k].copy(),
-                            no_negative_zero=self._no_negative_zero)
+        self._subtract_outer(state.h, s / pivot, state.h[k].copy())
         state.counter.add(n * n + n)
 
 
@@ -471,10 +475,9 @@ def implicit_lu_solve(a, b, tol=None, counter=None):
     Each step makes a fixed number of numpy calls on the block, and adds
     the column contributions to the new column in ascending column order,
     the order of a scalar loop over the columns. The block itself, a
-    column slice of the buffer, takes one rank-one update,
-    :func:`absolve.core.subtract_outer`, which runs it as a strided BLAS
-    ``dgemm`` on the slice in place once the block is large enough for
-    that to pay (the solver states no -0 fact, as its block can hold one).
+    column slice of the buffer, takes one rank-one update (see
+    :func:`absolve.core.subtract_outer`) through the buffer, which the
+    solve binds once: a strided ``dgemm`` on the slice in place.
 
     Raises :class:`~absolve.errors.RegularityFailure` when a leading
     principal submatrix is singular (within tolerance).
@@ -492,6 +495,9 @@ def implicit_lu_solve(a, b, tol=None, counter=None):
     # the products the new column is summed from: first row row[i+1:],
     # then column c times row[c]
     scratch = np.empty(n * n // 4)
+    # the block can hold -0.0 (the stored -t of an exact zero), so its
+    # updates state no -0 fact
+    update = core._BoundUpdate(packed)
     p_out = []
     pivots = []
     for i in range(n):
@@ -549,7 +555,7 @@ def implicit_lu_solve(a, b, tol=None, counter=None):
             # its loop), and with d and t finite no product is NaN: a
             # non-finite head makes d non-finite.
             if math.isfinite(d) and math.isfinite(t.dot(t)):
-                core.subtract_outer(body, heads, t)
+                update(heads, t)  # the block packed[:i, i + 1:]
                 np.negative(t, out=packed[i, i + 1:])
             else:
                 np.negative(t, out=t)
@@ -636,9 +642,8 @@ def _deflate_directions(y, c, u, x, piv_tol, counter, iterates=None):
     p_out = []
     pivots = []
     # The update creates no -0 where there is none, so one check of the
-    # seeds tells subtract_outer for every step that it may leave out
-    # the rows at either end where u_i is +-0.
-    clean = not core._holds_negative_zero(u)
+    # seeds gives the -0 fact of every step.
+    update = core._BoundUpdate(u, not core._holds_negative_zero(u))
     for i in range(m):
         row = y[i]
         ui = u[:, i]
@@ -653,13 +658,13 @@ def _deflate_directions(y, c, u, x, piv_tol, counter, iterates=None):
         alpha = tau / den
         x -= alpha * ui
         done = 5 * n + 1
+        p = ui.copy()
         if i + 1 < m:
             coeff = (row @ u[:, i + 1:]) / den
-            core.subtract_outer(u[:, i + 1:], ui, coeff,
-                                no_negative_zero=clean)
+            update(p, coeff)  # the trailing columns u[:, i + 1:]
             done += (2 * n + 1) * (m - i - 1)
         counter.add(done)
-        p_out.append(ui.copy())
+        p_out.append(p)
         pivots.append(den)
         if iterates is not None:
             iterates.append(x.copy())

@@ -315,6 +315,24 @@ def test_tol_is_a_usage_error_where_no_tolerance_applies(tmp_path, capsys,
         != cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("method", ("huang", "ilu"))
+@pytest.mark.parametrize("tol", ("-1", "nan", "inf"))
+def test_tol_must_be_a_finite_nonnegative_number(tmp_path, capsys, method,
+                                                 tol):
+    # an incompatible rank-1 system: a negative or NaN tolerance made
+    # huang report rank 2 and ilu divide by zero
+    mat, rhs = solve_files(tmp_path, [[1.0, 2.0], [2.0, 4.0]], [1.0, 3.0])
+    code = cli.main(["solve", mat, rhs, "--method", method, "--tol", tol])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert out == "" and "--tol must be a finite number" in err
+    # without --tol, huang finds equation 1 incompatible and ilu a
+    # vanishing pivot
+    expected = {"huang": cli.EXIT_INCOMPATIBLE, "ilu": cli.EXIT_BREAKDOWN}
+    assert cli.main(["solve", mat, rhs, "--method", method]) \
+        == expected[method]
+
+
 def test_shape_mismatch_is_a_data_error(tmp_path, capsys):
     mat, _ = solve_files(tmp_path, [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
     rhs = write(tmp_path / "short.txt", "1 1 real\n1.0\n")

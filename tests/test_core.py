@@ -1,5 +1,6 @@
 """Engine-level behavior: classification, invariants, reports, counting."""
 
+import ctypes
 from fractions import Fraction
 
 import numpy as np
@@ -179,22 +180,18 @@ def _fused(h, u, v):
 
 @pytest.fixture
 def dgemm_calls(monkeypatch):
-    """Records the BLAS calls of :func:`core.subtract_outer` as the
-    ``(cols, rows)`` of the update, both f2py's on a C-contiguous ``h``
-    and the strided ones on a row-major view."""
+    """Records the BLAS calls of the rank-one updates, one-shot and
+    bound, as the ``(cols, rows)`` of the update: the ``M`` and ``N`` of
+    the one ``dgemm`` entry point."""
     calls = []
-    real, real_view = core._dgemm, core._dgemm_view
+    real = core._DGEMM
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs["c"].shape)
-        return real(*args, **kwargs)
+    def counting(*args):
+        calls.append(tuple(ctypes.c_int.from_address(ptr.value).value
+                           for ptr in args[2:4]))
+        return real(*args)
 
-    def counting_view(h, *args):
-        calls.append(h.shape[::-1])
-        return real_view(h, *args)
-
-    monkeypatch.setattr(core, "_dgemm", counting)
-    monkeypatch.setattr(core, "_dgemm_view", counting_view)
+    monkeypatch.setattr(core, "_DGEMM", counting)
     return calls
 
 
@@ -231,13 +228,16 @@ def _with_zeros(rng, h, u, v):
     return h, u, v
 
 
-def test_subtract_outer_scans_for_negative_zero(dgemm_calls):
+def test_subtract_outer_keeps_zero_products_off_blas_without_the_fact(
+        dgemm_calls):
+    # products of exactly -0 and no -0 in h: without the caller's fact
+    # nothing tells the update that h holds none, and it does not scan
     rng = np.random.default_rng(32)
     h, u, v = _with_zeros(rng, *_near_cancellation(rng, 300, 300))
     assert np.signbit(np.outer(u, v)[h == 0.0]).any()
     assert not np.signbit(h[h == 0.0]).any()
     _check_subtract_outer(h, u, v)
-    assert dgemm_calls == [(300, 300)]
+    assert dgemm_calls == []
 
 
 def test_subtract_outer_falls_back_on_a_negative_zero(dgemm_calls):
@@ -265,17 +265,17 @@ def test_subtract_outer_falls_back_on_nonfinite_input(bad, dgemm_calls):
     assert dgemm_calls == []
 
 
-@pytest.mark.parametrize("shape", ((63, 64), (64, 64), (100, 300),
+@pytest.mark.parametrize("shape", ((31, 33), (32, 32), (100, 300),
                                    (600, 600), (1000, 1024)))
 def test_subtract_outer_shapes_around_the_blas_cutoffs(shape, dgemm_calls):
-    # both sides of BLAS_MIN, and shapes that OpenBLAS may send to its
-    # small-matrix kernels (up to 10^6 products) or not
+    # both sides of _CHECKED_MIN, and shapes that OpenBLAS may send to
+    # its small-matrix kernels (up to 10^6 products) or not
     rng = np.random.default_rng(35)
     h, u, v = _near_cancellation(rng, *shape)
     _check_subtract_outer(h, u, v)
     rows, cols = shape
-    assert dgemm_calls == ([(cols, rows)] if rows * cols >= core.BLAS_MIN
-                           else [])
+    assert dgemm_calls == ([(cols, rows)]
+                           if rows * cols >= core._CHECKED_MIN else [])
 
 
 @pytest.mark.parametrize("signed_zeros", (False, True))
@@ -284,8 +284,9 @@ def test_subtract_outer_shapes_around_the_blas_cutoffs(shape, dgemm_calls):
                                    (40, 100), (63, 64), (64, 63)))
 def test_subtract_outer_on_the_fact_takes_blas_at_any_size(
         shape, signed_zeros, dgemm_calls):
-    # from 1 x 1 up to BLAS_MIN, the k=1 dgemm on near-cancelling data
-    # (a fused kernel would differ), with products of exactly -0 too
+    # from 1 x 1 up, below and above _CHECKED_MIN, the k=1 dgemm on
+    # near-cancelling data (a fused kernel would differ), with products
+    # of exactly -0 too
     rng = np.random.default_rng(40)
     h, u, v = _near_cancellation(rng, *shape)
     if signed_zeros:
@@ -296,7 +297,6 @@ def test_subtract_outer_on_the_fact_takes_blas_at_any_size(
     assert h.tobytes() == expected.tobytes()
     assert np.array_equal(np.signbit(h), np.signbit(expected))
     rows, cols = shape
-    assert rows * cols <= core.BLAS_MIN
     assert dgemm_calls == [(cols, rows)]
 
 
@@ -310,19 +310,24 @@ def test_small_updates_that_blas_cannot_do_exactly_take_the_row_blocks(
     h, u, v = _near_cancellation(rng, rows, cols)
     parent, fact = h, True
     if case == "no-fact":
-        # below BLAS_MIN the full exactness test costs more than the rows
+        # a product of exactly zero: without the fact h may hold a -0
+        # there that the kernel would keep
         fact = False
+        u[-1] = 0.0
     elif case == "nonfinite":
         u[-1] = np.inf
     elif case == "negative-zero":
         # a -0 in h and a product of exactly -0 there: the kernel would
-        # keep the -0, so without the fact the full check refuses BLAS
+        # keep the -0, so without the fact the magnitude test refuses BLAS
         fact = False
         u[0], v[0], h[0, 0] = -0.0, 1.0, -0.0
     else:
-        # a column slice of more than one row is not C-contiguous
+        # a column slice of more than one row, with a zero product and no
+        # fact
         parent = np.hstack([rng.standard_normal((rows, 2)), h])
         h = parent[:, 2:]
+        fact = False
+        v[-1] = -0.0
     before = parent[:, :parent.shape[1] - cols].copy()
     with np.errstate(invalid="ignore"):
         expected = h - np.outer(u, v)
@@ -337,7 +342,7 @@ def test_subtract_outer_searches_edge_rows_from_its_size_gate(dgemm_calls):
     # on the dgemm path the search for +-0 edge rows of u pays only on
     # large updates; below its gate the update keeps every row
     rng = np.random.default_rng(42)
-    for n in (150, 200):
+    for n in (100, 150):
         h, u, v = _near_cancellation(rng, n, n)
         u[:10] = 0.0
         u[-5:] = -0.0
@@ -345,8 +350,8 @@ def test_subtract_outer_searches_edge_rows_from_its_size_gate(dgemm_calls):
         dgemm_calls.clear()
         core.subtract_outer(h, u, v, no_negative_zero=True)
         assert h.tobytes() == expected.tobytes()
-        searched = n * n >= core._EDGE_SEARCH_BLAS
-        assert searched == (n == 200)
+        searched = n * n >= core._EDGE_SEARCH_MIN
+        assert searched == (n == 150)
         assert dgemm_calls == [(n, n - 15 if searched else n)]
 
 
@@ -354,10 +359,9 @@ def test_subtract_outer_updates_a_column_slice_in_its_parent(dgemm_calls):
     rng = np.random.default_rng(36)
     parent, u, _ = _near_cancellation(rng, 300, 300)
     h = parent[:, 100:]
-    assert h.size >= core.BLAS_MIN
-    # f2py would update a copy of a strided view: the slice takes the
-    # strided dgemm, whose leading dimension is the parent's row length,
-    # and the parent buffer sees the update
+    assert h.size >= core._CHECKED_MIN
+    # the slice takes the strided dgemm, whose leading dimension is the
+    # parent's row length, and the parent buffer sees the update
     _check_subtract_outer(h, u, _full_mantissa(rng, 200), parent=parent)
     assert dgemm_calls == [(200, 300)]
 
@@ -390,15 +394,15 @@ def test_subtract_outer_takes_the_strided_dgemm_on_views(fact, index,
     big, _, _ = _near_cancellation(rng, 250, 260)
     rows, cols = big[index].shape
     assert not big[index].flags.c_contiguous
-    assert rows * cols >= max(core.BLAS_MIN, core._CHECKED_VIEW_MIN)
+    assert rows * cols >= core._CHECKED_MIN
     u, v = _full_mantissa(rng, rows), _full_mantissa(rng, cols)
     _check_view_update(big, index, u, v, fact)
     assert dgemm_calls == [(cols, rows)]
 
 
 def test_subtract_outer_reads_u_with_its_own_stride(dgemm_calls):
-    # gilu deflates u[:, i+1:] against u[:, i], a column of the same
-    # buffer: the dgemm reads it with the row length as its stride
+    # a column of the same buffer as u: the update reads it with the row
+    # length as its stride, into a workspace the dgemm reads
     rng = np.random.default_rng(44)
     big, _, _ = _near_cancellation(rng, 120, 90)
     u = big[:, 40]
@@ -413,15 +417,18 @@ def test_subtract_outer_keeps_views_it_cannot_pass_to_blas_on_row_blocks(
     rng = np.random.default_rng(45)
     big, _, _ = _near_cancellation(rng, 200, 200)
     u, v = _full_mantissa(rng, 190), _full_mantissa(rng, 150)
-    # reversed rows, a column stride of -1, and a strided v
+    # reversed rows and a column stride of -1
     _check_view_update(big, np.s_[194:4:-1, 50:], u, v)
     _check_view_update(big, np.s_[:190, 149::-1], u, v)
+    assert dgemm_calls == []
+    # a strided v is copied into the workspace of the dgemm
     _check_view_update(big, np.s_[:190, 50:], u, np.repeat(v, 2)[::2])
+    assert dgemm_calls == [(150, 190)]
     # a -0 in the view and a product of exactly -0 there
     big[0, 50], u[0], v[0] = -0.0, -0.0, 1.0
     _check_view_update(big, np.s_[:190, 50:], u, v)
     assert big[0, 50] == 0.0 and not np.signbit(big[0, 50])
-    assert dgemm_calls == []
+    assert dgemm_calls == [(150, 190)]
 
 
 def test_strided_updates_from_several_threads_keep_their_own_shapes():
@@ -456,14 +463,12 @@ def test_strided_updates_from_several_threads_keep_their_own_shapes():
 
 def test_view_leading_dimensions_must_fit_a_c_int():
     buf = np.zeros(8)
-    u, v = np.zeros(2), np.zeros(3)
-    # views that are never written: only their strides are read
+    # views that are never written: binding reads only their strides
     fits = np.lib.stride_tricks.as_strided(buf, (2, 3), (8 * 5, 8))
-    assert core._view_dims(fits, u, v) == (1, 5)
+    bound = core._BoundUpdate(fits)
+    assert bound._target is not None and bound._ld == 5
     wide = np.lib.stride_tricks.as_strided(buf, (2, 3), (8 * 2 ** 31, 8))
-    assert core._view_dims(wide, u, v) is None
-    spread = np.lib.stride_tricks.as_strided(buf, (2,), (8 * 2 ** 31,))
-    assert core._view_dims(fits, spread, v) is None
+    assert core._BoundUpdate(wide)._target is None
 
 
 def _signed_specials(draw, rng, a):
@@ -485,8 +490,8 @@ def _signed_specials(draw, rng, a):
 def test_subtract_outer_on_any_view_is_the_unfused_update(data):
     draw = data.draw
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    # 0 rows or columns, and sizes on both sides of BLAS_MIN and of
-    # _CHECKED_VIEW_MIN
+    # 0 rows or columns, and sizes on both sides of _CHECKED_MIN and of
+    # _EDGE_SEARCH_MIN
     size = st.one_of(st.integers(0, 6), st.integers(40, 180))
     rows, cols = draw(size), draw(size)
     top, left = draw(st.integers(0, 3)), draw(st.integers(0, 4))
@@ -544,8 +549,8 @@ def test_subtract_outer_falls_back_on_nonfinite_input_despite_the_fact(
 
 
 def test_subtract_outer_falls_back_when_the_squares_overflow(dgemm_calls):
-    # finite entries whose squares overflow fail the cheap finiteness
-    # test; the full check then finds the inputs finite and takes BLAS
+    # finite entries whose squares overflow fail the finiteness test,
+    # conservatively, and the update takes the row blocks
     rng = np.random.default_rng(39)
     h, u, v = _near_cancellation(rng, 300, 300)
     u[3] = 1e200
@@ -554,7 +559,7 @@ def test_subtract_outer_falls_back_when_the_squares_overflow(dgemm_calls):
         assert not np.isfinite(u.dot(u))
         core.subtract_outer(h, u, v, no_negative_zero=True)
     assert h.tobytes() == expected.tobytes()
-    assert dgemm_calls == [(300, 300)]
+    assert dgemm_calls == []
 
 
 def _zero_runs(draw, rng, size):
@@ -580,9 +585,8 @@ def _zero_runs(draw, rng, size):
 def test_subtract_outer_row_skip_is_the_unfused_update(data):
     draw = data.draw
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    # both sides of BLAS_MIN and of the edge-search gates (4096 entries
-    # for a column slice, 32768 for a contiguous h), and enough rows for
-    # long zero runs
+    # both sides of _CHECKED_MIN and of _EDGE_SEARCH_MIN, and enough
+    # rows for long zero runs
     rows = draw(st.integers(1, 120))
     cols = draw(st.sampled_from((1, 7, 33, 64, 100, 400)))
     u = _zero_runs(draw, rng, rows)
@@ -614,6 +618,77 @@ def test_subtract_outer_row_skip_is_the_unfused_update(data):
     assert parent[:, :parent.shape[1] - cols].tobytes() == before.tobytes()
 
 
+def _update_vector(draw, rng, size, zero_runs=False):
+    """A vector of the given size: contiguous, strided or read-only,
+    with +-0 runs at its ends or inside when asked."""
+    x = _zero_runs(draw, rng, size) if zero_runs and size \
+        else _full_mantissa(rng, size)
+    _signed_specials(draw, rng, x)
+    layout = draw(st.sampled_from(("contiguous", "strided", "read-only")))
+    if layout == "strided":
+        # a column of a matrix, as a direction of gilu's seeds is
+        x = np.column_stack([x, _full_mantissa(rng, size)])[:, 0]
+    elif layout == "read-only":
+        x.flags.writeable = False
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_bound_updates_are_the_unfused_updates(data):
+    draw = data.draw
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # a matrix bound once at any row and column offset of its parent,
+    # then updated on top-right blocks of any size
+    size = st.one_of(st.integers(0, 6), st.integers(24, 150))
+    rows, cols = draw(size), draw(size)
+    top, left = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    parent = _full_mantissa(rng, (top + rows + draw(st.integers(0, 2)),
+                                  left + cols + draw(st.integers(0, 5))))
+    h = parent[top:top + rows, left:left + cols]
+    _signed_specials(draw, rng, h)
+    fact = draw(st.booleans())
+    if fact:
+        h[h == 0.0] = 0.0  # the caller's fact: no -0 in h
+    bound = core._BoundUpdate(h, fact)
+    # the measured size gates, or none, so that small blocks take every
+    # route too
+    gates = core._CHECKED_MIN, core._EDGE_SEARCH_MIN
+    if draw(st.booleans()):
+        core._CHECKED_MIN = core._EDGE_SEARCH_MIN = 0
+    try:
+        for _ in range(draw(st.integers(1, 3))):
+            k, l = draw(st.integers(0, rows)), draw(st.integers(0, cols))
+            u = _update_vector(draw, rng, k, zero_runs=True)
+            v = _update_vector(draw, rng, l)
+            block = np.s_[top:top + k, left + cols - l:left + cols]
+            expected = parent.copy()
+            with np.errstate(invalid="ignore", over="ignore"):
+                prod = np.outer(u, v)
+                if not fact and draw(st.booleans()):
+                    # -0 in h where a product is exactly -0: the kernel
+                    # would keep it, the unfused update gives +0
+                    parent[block][(prod == 0.0) & np.signbit(prod)] = -0.0
+                    expected = parent.copy()
+                expected[block] = expected[block] - prod
+                bound(u, v)
+            assert parent.tobytes() == expected.tobytes()
+            assert np.array_equal(np.signbit(parent), np.signbit(expected))
+            if fact:
+                # the update makes no -0 in a matrix that holds none
+                assert not core._holds_negative_zero(h)
+    finally:
+        core._CHECKED_MIN, core._EDGE_SEARCH_MIN = gates
+
+
+def test_bound_updates_reject_blocks_larger_than_the_matrix():
+    bound = core._BoundUpdate(np.zeros((3, 4)), True)
+    with pytest.raises(ValueError):
+        bound(np.ones(4), np.ones(4))
+    with pytest.raises(ValueError):
+        core.subtract_outer(np.zeros((3, 4)), np.ones(3), np.ones(3))
+
+
 def test_engine_ilu_updates_only_the_rows_below_its_zero_block(dgemm_calls):
     from absolve import problems
     n = 300
@@ -638,34 +713,35 @@ def test_gilu_and_packed_lu_update_their_column_slices_on_blas(
     a = rng.standard_normal((n, n)) + n * np.eye(n)
     b = rng.standard_normal(n)
     strategies.gilu_solve(a, b, np.eye(n))
-    # step i deflates the n x (n-1-i) trailing columns, from BLAS_MIN
-    # entries on BLAS; direction i is zero below row i, and the update
+    # step i deflates the n x (n-1-i) trailing columns on BLAS; direction
+    # i is zero below row i, and from _EDGE_SEARCH_MIN entries the update
     # leaves those rows out
-    assert dgemm_calls == [(n - 1 - i, i + 1) for i in range(n - 1)
-                           if n * (n - 1 - i) >= core.BLAS_MIN]
+    assert dgemm_calls == [
+        (n - 1 - i, i + 1 if n * (n - 1 - i) >= core._EDGE_SEARCH_MIN
+         else n) for i in range(n - 1)]
     # the packed solver's block at step i is i x (n-1-i); it states no
-    # -0 fact, so its updates take BLAS from _CHECKED_VIEW_MIN entries
+    # -0 fact, so its updates take BLAS from _CHECKED_MIN entries
     n = 300
     a = rng.standard_normal((n, n)) + n * np.eye(n)
     b = rng.standard_normal(n)
     dgemm_calls.clear()
     strategies.implicit_lu_solve(a, b)
     assert dgemm_calls == [(n - 1 - i, i) for i in range(n - 1)
-                           if i * (n - 1 - i) >= core._CHECKED_VIEW_MIN]
+                           if i * (n - 1 - i) >= core._CHECKED_MIN]
     assert dgemm_calls
 
 
 @pytest.mark.parametrize("fact", (False, True))
-@pytest.mark.parametrize("shape", ((64, 63), (64, 64), (127, 128),
+@pytest.mark.parametrize("shape", ((32, 31), (32, 32), (127, 128),
                                    (128, 128)))
 def test_views_take_blas_from_their_size_gates(fact, shape, dgemm_calls):
-    # BLAS_MIN entries with the -0 fact, _CHECKED_VIEW_MIN without it
+    # any size with the -0 fact, _CHECKED_MIN entries without it
     rng = np.random.default_rng(48)
     rows, cols = shape
     big, _, _ = _near_cancellation(rng, rows, cols + 5)
     _check_view_update(big, np.s_[:, 5:], _full_mantissa(rng, rows),
                        _full_mantissa(rng, cols), fact)
-    gate = core.BLAS_MIN if fact else core._CHECKED_VIEW_MIN
+    gate = 0 if fact else core._CHECKED_MIN
     assert dgemm_calls == ([(cols, rows)] if rows * cols >= gate else [])
 
 
@@ -689,18 +765,19 @@ def test_engine_scans_the_start_projector_once(negative_zero_scans):
     n = 300
     p = problems.generate(problems.ProblemSpec(kind="determined", n=n,
                                                seed=3))
-    # the pivot rows of ilu hold exact zeros, so without the fact each
-    # BLAS update would scan the whole projector
+    # the pivot rows of ilu hold exact zeros, so without the fact no
+    # update could take BLAS
     rep = core.solve(p.a, p.b, strategy="ilu")
     assert rep.rank == n
-    assert len(negative_zero_scans) <= 1
-    # a start projector with -0.0 keeps the full check on every update
+    assert negative_zero_scans == [(n, n)]
+    # a start projector with -0.0: the one scan finds it, and the updates
+    # test the magnitudes of u and v instead
     negative_zero_scans.clear()
     strategy = strategies.GiluStrategy(_negative_zero_eye(n))
     core.solve(p.a, p.b, strategy=strategy)
-    assert len(negative_zero_scans) > n // 2
-    # and the fact ends with the run
-    assert strategy._no_negative_zero is False
+    assert negative_zero_scans == [(n, n)]
+    # and the bound projector ends with the run
+    assert strategy._bound is None
 
 
 def test_breakdown_leaves_the_steps_multiplies_on_the_counter():
@@ -797,7 +874,7 @@ def test_strong_nonsingularity_verdicts_match_the_unfused_elimination(
     assert verdicts == [_eliminates_without_pivoting(q) for q in probes]
     assert True in verdicts and False in verdicts
     # the large trailing blocks take the strided dgemm
-    assert any(rows * cols >= core._CHECKED_VIEW_MIN
+    assert any(rows * cols >= core._CHECKED_MIN
                for cols, rows in dgemm_calls)
 
 
@@ -830,6 +907,29 @@ def test_tolerance_override_flags_near_dependence():
     assert strict.eq_status[1] == core.REDUNDANT
     loose = core.solve(a, b)
     assert loose.rank == 2
+
+
+@pytest.mark.parametrize("field", ("dependency", "residual", "pivot"))
+@pytest.mark.parametrize("value", (-1e-12, float("nan")))
+def test_tolerances_reject_negative_and_nan_fields(field, value):
+    tol = core.Tolerances(**{field: value})
+    with pytest.raises(ValueError):
+        tol.resolve(3)
+    a, b = np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 3.0])
+    with pytest.raises(ValueError):
+        core.solve(a, b, strategy="ilu", tol=tol)
+    assert core.Tolerances(**{field: 0.0}).resolve(3)
+
+
+def test_general_solution_needs_a_projector():
+    from absolve import iterative, strategies
+    rng = np.random.default_rng(56)
+    a, b, _ = random_system(rng, 4, 4)
+    for rep in (strategies.gilu_solve(a, b, np.eye(4)),
+                iterative.recursive_solve(a, b)):
+        assert rep.state.h is None
+        with pytest.raises(ValueError, match="no projector"):
+            core.general_solution(rep, np.zeros(4))
 
 
 def test_general_solution_spans_the_null_space():

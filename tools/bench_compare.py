@@ -23,11 +23,14 @@ its ``environment`` record, and leaves the others as they are.
 Every run lasts ``BENCHMARK.json``'s ``run_seconds``.
 * ``kernel`` times the packed ``implicit_lu_solve``, the engine's
   ``ilu``, ``huang``, ``mhuang`` and ``iqr`` strategies, ``gilu_solve``
-  with unit seeds, ``numpy.linalg.solve``, one ``core.subtract_outer``
-  call on an n x n matrix (``u = b``, ``v = a[0]``) and one on its
-  trailing n x (n/2) column slice, a strided view as ``gilu_solve``
-  passes it, on regular systems with n=100, 150, 200, 300 and 600: at
-  the three smaller sizes per-step dispatch weighs most. Under the key
+  with unit seeds, ``numpy.linalg.solve``, and one rank-one update with
+  the -0 fact as the engine and ``gilu_solve`` make it inside a run: on
+  an n x n matrix (``u = b``, ``v = a[0]``) and on its trailing n x (n/2)
+  column slice. A checkout with ``core._BoundUpdate`` binds the matrix
+  once and times the bound call, as its solvers do; an older one times
+  ``core.subtract_outer(..., no_negative_zero=True)``, as its solvers
+  call it. The systems are regular with n=100, 150, 200, 300 and 600:
+  at the three smaller sizes per-step dispatch weighs most. Under the key
   ``dio`` it times the exact integer layer: ``bezout_gcd`` over every
   certificate row that ``diophantine.solve`` meets on three n=16
   ``kind="diophantine"`` systems, ``diophantine.solve`` on one system
@@ -74,10 +77,17 @@ solvers = {
     "iqr_s": lambda a, b: core.solve(a, b, strategy="iqr"),
     "gilu_s": lambda a, b: strategies.gilu_solve(a, b, np.eye(len(b))),
     "lapack_s": np.linalg.solve,
-    "subtract_outer_s": lambda a, b: core.subtract_outer(work, b, a[0]),
-    "subtract_outer_slice_s": lambda a, b: core.subtract_outer(
-        tail, b, a[0, :tail.shape[1]]),
+    "subtract_outer_s": lambda a, b: update(b, a[0]),
+    "subtract_outer_slice_s": lambda a, b: update_tail(
+        b, a[0, :tail.shape[1]]),
 }
+
+
+def bind(h):
+    # the update of h with the -0 fact, as a run of the solvers makes it
+    if hasattr(core, "_BoundUpdate"):
+        return core._BoundUpdate(h, True)
+    return lambda u, v: core.subtract_outer(h, u, v, no_negative_zero=True)
 
 
 def best_of(call):
@@ -97,6 +107,7 @@ for n in map(int, sys.argv[2].split(",")):
     work = p.a.copy()
     # the trailing n x (n/2) column slice, as gilu_solve deflates it
     tail = work[:, n - n // 2:]
+    update, update_tail = bind(work), bind(tail)
     out[str(n)] = {name: best_of(lambda: solve(p.a, p.b))
                    for name, solve in solvers.items()}
 
