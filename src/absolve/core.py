@@ -28,6 +28,7 @@ tests (norms and scale factors).
 
 import ctypes
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -423,6 +424,55 @@ def _row_blocks(h, u, v):
         np.subtract(h[r0:r1], prod, out=h[r0:r1])
 
 
+# The dgemm calls kept per thread, by shape; past this many, a thread
+# starts afresh.
+_DGEMM_CALLS_KEPT = 64
+_THREAD_DGEMM_CALLS = threading.local()
+
+
+class _DgemmCall:
+    """The ctypes arguments of the k=1 ``dgemm`` that updates a block of
+    at most ``rows x cols`` entries with row stride ``ld``, and a
+    workspace of ``rows + cols`` float64 entries that ``u`` and ``v`` are
+    copied to; the caller sets the dims, ``u_at`` and ``h_at`` of each
+    update. Every call sets all that it reads, so the bindings of one
+    shape in one thread share one; each thread keeps its own
+    (:func:`_dgemm_call`), since the dgemm runs without the GIL."""
+
+    __slots__ = ("uv", "uv_at", "dims", "u_at", "h_at", "args")
+
+    def __init__(self, rows, cols, ld):
+        workspace = (ctypes.c_double * (rows + cols))()
+        self.uv = np.frombuffer(workspace)
+        self.uv_at = at = ctypes.addressof(workspace)
+        # K (= ldb), M (= lda), N and ldc
+        self.dims = dims = _DGEMM_DIMS()
+        dims[0], dims[3] = 1, ld
+        d = ctypes.addressof(dims)
+        k, m, n, ldc = _PTR(d), _PTR(d + 4), _PTR(d + 8), _PTR(d + 12)
+        self.u_at, self.h_at = _PTR(), _PTR()
+        # dgemm('N', 'N', M, N, K, -1, A=v, lda, B=u, ldb, 1, C=h, ldc)
+        # on h^T, with v at the end of the workspace
+        self.args = (_DGEMM_NOTRANS, _DGEMM_NOTRANS, m, n, k, _DGEMM_ALPHA,
+                     _PTR(at + 8 * rows), m, self.u_at, k, _DGEMM_BETA,
+                     self.h_at, ldc)
+
+
+def _dgemm_call(rows, cols, ld):
+    """This thread's :class:`_DgemmCall` for the shape, made on first
+    use."""
+    calls = getattr(_THREAD_DGEMM_CALLS, "by_shape", None)
+    if calls is None:
+        calls = _THREAD_DGEMM_CALLS.by_shape = {}
+    key = (rows, cols, ld)
+    call = calls.get(key)
+    if call is None:
+        if len(calls) >= _DGEMM_CALLS_KEPT:
+            calls.clear()
+        call = calls[key] = _DgemmCall(rows, cols, ld)
+    return call
+
+
 class _BoundUpdate:
     """The rank-one updates of one matrix ``h``, bound once for a run.
 
@@ -432,12 +482,14 @@ class _BoundUpdate:
     ``h[:len(u), -len(v):] -= np.outer(u, v)``, bit for bit, on the
     top-right block that the lengths of ``u`` and ``v`` give, by the
     rules of :func:`subtract_outer`. The call copies ``u`` and ``v`` into
-    a workspace that the binding owns, so no step reads an address or a
-    layout. A binding is for one thread at a time.
+    the workspace of the thread's :class:`_DgemmCall` for the shape, so
+    no step reads an address or a layout, and no binding builds ctypes
+    objects once its thread has met the shape. A binding is for the
+    thread that made it.
     """
 
-    __slots__ = ("h", "_rows", "_cols", "_clean", "_target", "_ld", "_uv",
-                 "_uv_at", "_dims", "_u_at", "_h_at", "_args")
+    __slots__ = ("h", "_rows", "_cols", "_clean", "_target", "_ld",
+                 "_call")
 
     def __init__(self, h, no_negative_zero=False):
         rows, cols = h.shape
@@ -451,20 +503,13 @@ class _BoundUpdate:
                 and max(rows, ld) <= _C_INT_MAX)
         self.h, self._rows, self._cols, self._ld = h, rows, cols, ld
         self._clean = no_negative_zero
-        self._target = h.ctypes.data if blas else None
-        workspace = (ctypes.c_double * (rows + cols))()
-        self._uv = np.frombuffer(workspace)
-        self._uv_at = at = ctypes.addressof(workspace)
-        # K (= ldb), M (= lda), N and ldc
-        self._dims = _DGEMM_DIMS(1, 0, 0, ld)
-        d = ctypes.addressof(self._dims)
-        k, m, n, ldc = _PTR(d), _PTR(d + 4), _PTR(d + 8), _PTR(d + 12)
-        self._u_at, self._h_at = _PTR(), _PTR()
-        # dgemm('N', 'N', M, N, K, -1, A=v, lda, B=u, ldb, 1, C=h, ldc)
-        # on h^T, with v at the end of the workspace
-        self._args = (_DGEMM_NOTRANS, _DGEMM_NOTRANS, m, n, k, _DGEMM_ALPHA,
-                      _PTR(at + 8 * rows), m, self._u_at, k, _DGEMM_BETA,
-                      self._h_at, ldc)
+        self._target = self._call = None
+        if blas:
+            # a contiguous matrix gives its address through its buffer in
+            # a third of the time of ``h.ctypes.data``
+            self._target = ctypes.addressof(ctypes.c_char.from_buffer(h)) \
+                if flags.c_contiguous else h.ctypes.data
+            self._call = _dgemm_call(rows, cols, ld)
 
     def __call__(self, u, v):
         rows, cols = len(u), len(v)
@@ -478,7 +523,8 @@ class _BoundUpdate:
                 and v.dtype is _F64
                 and (clean or rows * cols >= _CHECKED_MIN)):
             # u ends where v starts, so one dot covers both
-            uv, top = self._uv, self._rows
+            call, top = self._call, self._rows
+            uv = call.uv
             lo, hi = top - rows, top
             uv[lo:hi] = u
             uv[hi:hi + cols] = v
@@ -496,13 +542,13 @@ class _BoundUpdate:
                     return
                 lo, hi = lo + int(nonzero[0]), lo + int(nonzero[-1]) + 1
             if exact:
-                dims = self._dims
+                dims = call.dims
                 dims[1], dims[2] = cols, hi - lo
-                self._u_at.value = self._uv_at + 8 * lo
+                call.u_at.value = call.uv_at + 8 * lo
                 # the block's row lo - (top - rows), its first column
-                self._h_at.value = self._target + 8 * (
+                call.h_at.value = self._target + 8 * (
                     (lo - top + rows) * self._ld + self._cols - cols)
-                _DGEMM(*self._args)
+                _DGEMM(*call.args)
                 return
         _row_blocks(self.h[:rows, self._cols - cols:], u, v)
 

@@ -10,8 +10,12 @@ solved in stages. The constraint stage runs the projection engine once on
 ``C p = c`` and keeps everything it produced: a particular solution, the
 projector H that spans the constraint null space, the search vectors P, and
 the implicitly factored ``L = C P``. That stage depends only on C and c, so
-a :class:`KTSolver` builds it once and reuses it across method combinations;
-the per-call multiply counts expose the saving.
+a :class:`KTSolver` builds it once and shares it across method combinations;
+only the first call counts its multiplies, so the per-call counts expose the
+saving. The solver likewise forms each p-stage's ``p`` and the product
+``H G`` (which ``a1`` stacks and ``a2`` multiplies by ``H^T``) once and
+reuses them; as ``counting`` states for a product reused because it has the
+same bytes, each call counts them as if formed again.
 
 Two interchangeable methods finish each unknown block:
 
@@ -116,7 +120,13 @@ class KTSolver:
     The constraint stage (everything derived from ``C p = c``) is built on
     first use and shared by later calls; ``c_stage_mults`` reports its
     cost, and each :class:`KTReport` counts only the multiplies of its own
-    call.
+    call, so only the first report includes it. Each p-stage and the
+    product ``H G`` are built on first use too, and reused with the same
+    bytes; every report counts them as if formed again, so a report's
+    count equals a fresh solver's less ``c_stage_mults`` after the first
+    call. Each report holds its own copy of ``p``. A stage that raises is
+    not kept: the next call runs it again and raises the same
+    :class:`~absolve.errors.SingularKT`.
     """
 
     def __init__(self, system, strategy="huang"):
@@ -124,6 +134,9 @@ class KTSolver:
         self.strategy = strategy
         self._stage = None
         self.c_stage_mults = 0
+        self._hg = None
+        # p-stage method -> (p, the stage's multiplies)
+        self._p_stages = {}
 
     def _constraint_stage(self, counter):
         if self._stage is not None:
@@ -150,6 +163,36 @@ class KTSolver:
         counter.add(stage_counter.mults)
         return self._stage
 
+    def _p_stage(self, p_method, p0, h):
+        """``p`` by ``p_method`` and the multiplies that it takes."""
+        sys = self.system
+        n, m = sys.n, sys.m
+        counter = OpCounter()
+        if self._hg is None:
+            self._hg = h @ sys.g_mat
+        hg = self._hg
+        # both p-stages count H G, as if each formed it
+        counter.add(n * n * n)
+        if p_method == "a1":
+            hgvec = h @ sys.g
+            counter.add(n * n)
+            stacked = np.vstack([sys.c_mat, hg])
+            rhs = np.concatenate([sys.c, hgvec])
+            rep = self._stage_solve(stacked, rhs, counter,
+                                    expect_redundant=m, stage="p-stage a1")
+            return rep.x, counter.mults
+        gp0 = sys.g_mat @ p0
+        counter.add(n * n)
+        hgh = hg @ h.T
+        counter.add(n * n * n)
+        rhs = h @ (sys.g - gp0)
+        counter.add(n * n)
+        rep = self._stage_solve(hgh, rhs, counter, expect_redundant=m,
+                                stage="p-stage a2")
+        p = p0 + h.T @ rep.x
+        counter.add(n * n)
+        return p, counter.mults
+
     def solve(self, p_method="a2", z_method="b2"):
         if p_method not in P_METHODS:
             raise ValueError(f"p_method must be one of {P_METHODS}")
@@ -159,35 +202,17 @@ class KTSolver:
         n, m = sys.n, sys.m
         counter = OpCounter()
         p0, h, p_mat, l_mat = self._constraint_stage(counter)
-        stage_tol = core.Tolerances(residual=STAGE_RESIDUAL_TOL)
-
-        if p_method == "a1":
-            hg = h @ sys.g_mat
-            counter.add(n * n * n)
-            hgvec = h @ sys.g
-            counter.add(n * n)
-            stacked = np.vstack([sys.c_mat, hg])
-            rhs = np.concatenate([sys.c, hgvec])
-            rep = self._stage_solve(stacked, rhs, counter, stage_tol,
-                                    expect_redundant=m, stage="p-stage a1")
-            p = rep.x
-        else:
-            gp0 = sys.g_mat @ p0
-            counter.add(n * n)
-            hgh = h @ sys.g_mat @ h.T
-            counter.add(2 * n * n * n)
-            rhs = h @ (sys.g - gp0)
-            counter.add(n * n)
-            rep = self._stage_solve(hgh, rhs, counter, stage_tol,
-                                    expect_redundant=m, stage="p-stage a2")
-            p = p0 + h.T @ rep.x
-            counter.add(n * n)
+        if p_method not in self._p_stages:
+            self._p_stages[p_method] = self._p_stage(p_method, p0, h)
+        p, p_mults = self._p_stages[p_method]
+        p = p.copy()
+        counter.add(p_mults)
 
         grad_gap = sys.g - sys.g_mat @ p
         counter.add(n * n)
         if z_method == "b1":
             rep = self._stage_solve(sys.c_mat.T, grad_gap, counter,
-                                    stage_tol, expect_redundant=n - m,
+                                    expect_redundant=n - m,
                                     stage="z-stage b1")
             z = rep.x
         else:
@@ -201,9 +226,10 @@ class KTSolver:
         return KTReport(p=p, z=z, p_method=p_method, z_method=z_method,
                         mult_count=counter.mults, residual_norm=res)
 
-    def _stage_solve(self, a, b, counter, tol, expect_redundant, stage):
+    def _stage_solve(self, a, b, counter, expect_redundant, stage):
         try:
-            rep = core.solve(a, b, strategy=self.strategy, tol=tol,
+            rep = core.solve(a, b, strategy=self.strategy,
+                             tol=core.Tolerances(residual=STAGE_RESIDUAL_TOL),
                              counter=counter)
         except IncompatibleSystem as exc:
             raise SingularKT(

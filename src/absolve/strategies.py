@@ -323,7 +323,7 @@ class ImplicitQRStrategy(_CachedSearchStrategy):
         row = a[i]
         pt = state.h.T @ row
         v = a @ pt
-        a_norm = float(np.linalg.norm(row))
+        a_norm = core._norm(row)
         state.counter.add(n * n + m * n + n)
         self._cache[i] = (pt, a_norm)
         return v
@@ -353,7 +353,7 @@ class ConjugateDirectionStrategy(_CachedSearchStrategy):
         pt = state.h.T @ row
         n = state.n
         state.counter.add(n * n)
-        self._cache[i] = (pt, float(np.linalg.norm(row)))
+        self._cache[i] = (pt, core._norm(row))
         state.counter.add(n)
         return pt
 
@@ -647,18 +647,21 @@ def _deflate_directions(y, c, u, x, piv_tol, counter, iterates=None):
     for i in range(m):
         row = y[i]
         ui = u[:, i]
+        # numpy takes the norm of the strided column over a contiguous
+        # copy, so the copy's norm has its bytes; the dot stays on the
+        # column, since over the copy it may sum in another order
+        p = ui.copy()
         den = float(row @ ui)
         row_norm = core._norm(row)
-        ui_norm = core._norm(ui)
+        ui_norm = core._norm(p)
         if abs(den) <= piv_tol * row_norm * ui_norm:
             counter.add(3 * n)
             raise StrategyBreakdown(
                 i, detail=f"direction pivot {den:.3e} vanishes")
         tau = float(row @ x) - float(c[i])
         alpha = tau / den
-        x -= alpha * ui
+        x -= alpha * p
         done = 5 * n + 1
-        p = ui.copy()
         if i + 1 < m:
             coeff = (row @ u[:, i + 1:]) / den
             update(p, coeff)  # the trailing columns u[:, i + 1:]

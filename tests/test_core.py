@@ -1,6 +1,8 @@
 """Engine-level behavior: classification, invariants, reports, counting."""
 
 import ctypes
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -687,6 +689,34 @@ def test_bound_updates_reject_blocks_larger_than_the_matrix():
         bound(np.ones(4), np.ones(4))
     with pytest.raises(ValueError):
         core.subtract_outer(np.zeros((3, 4)), np.ones(3), np.ones(3))
+
+
+def test_threads_solving_systems_of_one_shape_get_the_serial_bytes():
+    # bindings of one shape share their dgemm call per thread; the dgemm
+    # runs without the GIL, so threads must not share one
+    from absolve import problems
+    systems = [problems.generate(problems.ProblemSpec(
+        kind="determined", n=60, seed=seed)) for seed in range(6)]
+    want = [core.solve(p.a, p.b).x.tobytes() for p in systems]
+    got = [[] for _ in systems]
+
+    def solve_each(k):
+        for _ in range(5):
+            got[k].append(core.solve(systems[k].a, systems[k].b).x.tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=solve_each, args=(k,))
+                   for k in range(len(systems))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w] * 5 for w in want]
 
 
 def test_engine_ilu_updates_only_the_rows_below_its_zero_block(dgemm_calls):

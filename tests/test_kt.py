@@ -1,9 +1,11 @@
 """Saddle-point solvers: stage combinations, reuse, failure detection."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from absolve import kt, problems
+from absolve import core, kt, problems
 from absolve.errors import SingularKT
 
 
@@ -84,3 +86,83 @@ def test_method_name_validation():
         kt.solve(prob.kt_system, "a3", "b1")
     with pytest.raises(ValueError):
         kt.solve(prob.kt_system, "a1", "b9")
+
+
+PAIRS = [(p, z) for p in kt.P_METHODS for z in kt.Z_METHODS]
+
+
+@pytest.mark.parametrize("n", [12, 40, 100])
+def test_reused_stages_give_a_fresh_solver_bytes_in_every_call_order(n):
+    system = problems.generate(
+        problems.ProblemSpec(kind="kt", n=n, seed=n)).kt_system
+    fresh = {pair: kt.KTSolver(system).solve(*pair) for pair in PAIRS}
+    for order in itertools.permutations(PAIRS):
+        solver = kt.KTSolver(system)
+        for k, pair in enumerate(order):
+            rep = solver.solve(*pair)
+            want = fresh[pair]
+            assert rep.p.tobytes() == want.p.tobytes()
+            assert rep.z.tobytes() == want.z.tobytes()
+            assert rep.residual_norm == want.residual_norm
+            # the constraint stage is the one discount of a later call
+            discount = solver.c_stage_mults if k else 0
+            assert rep.mult_count + discount == want.mult_count
+
+
+class _RightProductSpy(np.ndarray):
+    """A G block that counts the matrix products with G on the right."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and inputs[1] is self \
+                and np.ndim(inputs[0]) == 2:
+            _RightProductSpy.products += 1
+        inputs = [x.view(np.ndarray) if isinstance(x, _RightProductSpy)
+                  else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_four_pairs_run_the_engine_five_times_and_form_hg_once(
+        monkeypatch):
+    system = generated(40, 12, seed=5).kt_system
+    plain = [kt.KTSolver(system).solve(*pair) for pair in PAIRS]
+    runs = []
+    engine = core.solve
+    monkeypatch.setattr(core, "solve",
+                        lambda a, b, **kw: runs.append(a.shape)
+                        or engine(a, b, **kw))
+    monkeypatch.setattr(_RightProductSpy, "products", 0)
+    system.g_mat = system.g_mat.view(_RightProductSpy)
+    solver = kt.KTSolver(system)
+    reports = [solver.solve(*pair) for pair in PAIRS]
+    # the constraint stage, then a1 and a2 once each and b1 once per p
+    assert runs == [(12, 40), (52, 40), (40, 12), (40, 40), (40, 12)]
+    assert _RightProductSpy.products == 1
+    for rep, want in zip(reports, plain):
+        assert rep.p.tobytes() == want.p.tobytes()
+        assert rep.z.tobytes() == want.z.tobytes()
+
+
+@pytest.mark.parametrize("pair", PAIRS)
+def test_a_failing_stage_raises_again_with_the_same_text(pair):
+    system = problems.generate(problems.ProblemSpec(
+        kind="kt", n=150, seed=908006)).kt_system
+    solver = kt.KTSolver(system, strategy="huang")
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SingularKT) as exc:
+            solver.solve(*pair)
+        texts.append(str(exc.value))
+    assert texts[0] == texts[1]
+    assert "dependent equations" in texts[0]
+
+
+def test_reports_hold_their_own_p():
+    solver = kt.KTSolver(generated(12, 4, seed=9).kt_system)
+    first = solver.solve("a1", "b2")
+    want = first.p.copy()
+    first.p[:] = 0.0
+    again = solver.solve("a1", "b1")
+    assert again.p.tobytes() == want.tobytes()
+    assert again.p is not first.p

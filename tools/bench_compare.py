@@ -35,12 +35,15 @@ Every run lasts ``BENCHMARK.json``'s ``run_seconds``.
   certificate row that ``diophantine.solve`` meets on three n=16
   ``kind="diophantine"`` systems, ``diophantine.solve`` on one system
   each at n=8, 12 and 16, and ``solutions_in_box`` on a 3x5 system at
-  radius 3. The runs are in fresh interpreters that alternate between
-  the checkouts; each figure is the fastest of a few repeats after a
-  warm-up call. Besides each side's median, fastest and slowest process,
-  the summary records under ``wins``, for each size and solver, in how
-  many of the back-to-back process pairs the change was faster, so a
-  kernel comparison can be read by the nine-in-ten rule of ``pairs``.
+  radius 3. Under the key ``kt`` it times, on the generated KT systems
+  with n=100 and 150, one ``KTSolver`` running the four stage pairs and
+  the four one-shot ``kt.solve`` calls. The runs are in fresh
+  interpreters that alternate between the checkouts; each figure is the
+  fastest of a few repeats after a warm-up call. Besides each side's
+  median, fastest and slowest process, the summary records under
+  ``wins``, for each size and solver, in how many of the back-to-back
+  process pairs the change was faster, so a kernel comparison can be
+  read by the nine-in-ten rule of ``pairs``.
 """
 
 import argparse
@@ -67,7 +70,7 @@ KERNEL = r"""
 import json, sys, time
 sys.path.insert(0, sys.argv[1])
 import numpy as np
-from absolve import core, diophantine, problems, strategies
+from absolve import core, diophantine, kt, problems, strategies
 
 solvers = {
     "packed_ilu_s": strategies.implicit_lu_solve,
@@ -132,6 +135,22 @@ for n in (8, 12, 16):
 box = diophantine.solve([[-2, 1, -1, 2, 2], [1, 0, -1, -2, 0],
                          [-1, 2, 2, -2, 2]], [1, 4, 0])
 dio["box_3x5_s"] = best_of(lambda: diophantine.solutions_in_box(box, 3))
+
+pairs = [(p, z) for p in kt.P_METHODS for z in kt.Z_METHODS]
+
+
+def kt_solver_pairs(system):
+    solver = kt.KTSolver(system)
+    return [solver.solve(*pair) for pair in pairs]
+
+
+out["kt"] = {}
+for n in (100, 150):
+    system = problems.generate(problems.ProblemSpec(kind="kt", n=n,
+                                                    seed=n)).kt_system
+    out["kt"][f"solver_n{n}_s"] = best_of(lambda: kt_solver_pairs(system))
+    out["kt"][f"one_shot_n{n}_s"] = best_of(
+        lambda: [kt.solve(system, *pair) for pair in pairs])
 print(json.dumps(out))
 """
 
