@@ -117,8 +117,7 @@ def cmd_solve(args):
     if head == "kt" and args.kt_m is None:
         return _fail("kt methods need --kt-m to split the assembled matrix",
                      EXIT_USAGE)
-    if args.tol is not None and head in ("kt", "dio", "absm"):
-        # these solvers take no tolerance override
+    if args.tol is not None and head in problems._NO_TOL_METHODS:
         return _fail(f"--tol does not apply to method {args.method!r}",
                      EXIT_USAGE)
 
@@ -155,28 +154,11 @@ def cmd_solve(args):
 
 
 def _suite_specs(args, sizes, seed):
-    specs = []
-    for index, size in enumerate(sizes):
-        prob_seed = seed + index
-        if args.suite == "determined":
-            rank = args.rank
-            specs.append(problems.ProblemSpec(
-                kind="determined", n=size, target_rank=rank,
-                seed=prob_seed))
-        elif args.suite == "overdetermined":
-            specs.append(problems.ProblemSpec(
-                kind="overdetermined", n=size, m=2 * size, seed=prob_seed))
-        elif args.suite == "underdetermined":
-            specs.append(problems.ProblemSpec(
-                kind="underdetermined", n=size, m=max(1, size // 2),
-                seed=prob_seed))
-        elif args.suite == "kt":
-            specs.append(problems.ProblemSpec(
-                kind="kt", n=size, m=max(1, size // 2), seed=prob_seed))
-        else:
-            specs.append(problems.ProblemSpec(
-                kind="diophantine", n=size, seed=prob_seed))
-    return specs
+    kind = "diophantine" if args.suite == "dio" else args.suite
+    rank = args.rank if args.suite == "determined" else None
+    return [problems.ProblemSpec(kind=kind, n=size, target_rank=rank,
+                                 seed=seed + index)
+            for index, size in enumerate(sizes)]
 
 
 def _format_row(problem, method, metrics, times):

@@ -340,21 +340,15 @@ def _norm(v):
     return float(np.linalg.norm(v))
 
 
-# Entries per temporary block of the row-block path of
-# :func:`subtract_outer`: 256 KiB of float64 in place of an n x n
-# temporary. Blocks of 16K entries or more ran equally fast on the
-# engine's updates at n=300 and 600; smaller ones ran slower.
-OUTER_BLOCK = 32768
-
 # Fewest entries of an update without the -0 fact from which it tests
 # the magnitudes of ``u`` and ``v`` and, where they pass, takes the
 # ``dgemm``. With one BLAS thread on a 2-vCPU Xeon VM (fastest of 31 x
 # 1000 calls on blocks of an n x (2n + 1) buffer, as the packed implicit
 # LU passes them), the test and the dgemm took 5.8 us from 16 x 16 to
-# 32 x 32, the row blocks 4.5, 5.3 and 6.6 us at 16 x 16, 24 x 24 and
+# 32 x 32, numpy 4.5, 5.3 and 6.6 us at 16 x 16, 24 x 24 and
 # 32 x 32; at 48 x 48 6.3 us against 11.2, at 128 x 128 16-17 us against
 # 48-52. With the fact an update takes the dgemm at any size: 3.8 us from
-# 8 x 8 to 32 x 32, up to 1.7 us more than the row blocks (2.1 us at
+# 8 x 8 to 32 x 32, up to 1.7 us more than numpy (2.1 us at
 # 8 x 8), about a tenth of an n=8 engine step, and 4.2 us against 4.7
 # at 40 x 40.
 _CHECKED_MIN = 1024
@@ -409,68 +403,40 @@ def _holds_negative_zero(a):
     return a.size > 0 and int(a.view(np.int64).min()) == _NEGATIVE_ZERO_BITS
 
 
-def _row_blocks(h, u, v):
-    """``h -= np.outer(u, v)`` by numpy, a block of rows at a time."""
-    rows, cols = h.shape
-    if rows * cols <= OUTER_BLOCK:
-        np.subtract(h, np.multiply(u[:, None], v), out=h)
-        return
-    step = max(1, OUTER_BLOCK // cols)
-    buf = np.empty((step, cols))
-    v = v[None, :]
-    for r0 in range(0, rows, step):
-        r1 = min(r0 + step, rows)
-        prod = np.multiply(u[r0:r1, None], v, out=buf[:r1 - r0])
-        np.subtract(h[r0:r1], prod, out=h[r0:r1])
-
-
-# The dgemm calls kept per thread, by shape; past this many, a thread
-# starts afresh.
-_DGEMM_CALLS_KEPT = 64
-_THREAD_DGEMM_CALLS = threading.local()
+# Each thread's dgemm call (:class:`_DgemmCall`), made on first use.
+_THREAD = threading.local()
 
 
 class _DgemmCall:
-    """The ctypes arguments of the k=1 ``dgemm`` that updates a block of
-    at most ``rows x cols`` entries with row stride ``ld``, and a
-    workspace of ``rows + cols`` float64 entries that ``u`` and ``v`` are
-    copied to; the caller sets the dims, ``u_at`` and ``h_at`` of each
-    update. Every call sets all that it reads, so the bindings of one
-    shape in one thread share one; each thread keeps its own
-    (:func:`_dgemm_call`), since the dgemm runs without the GIL."""
+    """The ctypes arguments of one thread's k=1 ``dgemm``, and the
+    workspace that ``v`` and then ``u`` are copied to, so that ``A`` is
+    always the workspace's start.
 
-    __slots__ = ("uv", "uv_at", "dims", "u_at", "h_at", "args")
+    Every update sets the dims ``M``, ``N`` and ``ldc`` and the pointers
+    ``u_at`` and ``h_at`` that it reads, so all the bindings of a thread
+    share its one call; a binding grows the workspace to its largest
+    ``rows + cols`` and reads it at each update. Each thread keeps its
+    own, since the dgemm runs without the GIL.
+    """
 
-    def __init__(self, rows, cols, ld):
-        workspace = (ctypes.c_double * (rows + cols))()
-        self.uv = np.frombuffer(workspace)
-        self.uv_at = at = ctypes.addressof(workspace)
+    __slots__ = ("uv", "uv_at", "a_at", "u_at", "h_at", "dims", "args")
+
+    def __init__(self, size):
         # K (= ldb), M (= lda), N and ldc
-        self.dims = dims = _DGEMM_DIMS()
-        dims[0], dims[3] = 1, ld
+        self.dims = dims = _DGEMM_DIMS(1)
         d = ctypes.addressof(dims)
         k, m, n, ldc = _PTR(d), _PTR(d + 4), _PTR(d + 8), _PTR(d + 12)
-        self.u_at, self.h_at = _PTR(), _PTR()
+        self.a_at, self.u_at, self.h_at = _PTR(), _PTR(), _PTR()
         # dgemm('N', 'N', M, N, K, -1, A=v, lda, B=u, ldb, 1, C=h, ldc)
-        # on h^T, with v at the end of the workspace
+        # on h^T
         self.args = (_DGEMM_NOTRANS, _DGEMM_NOTRANS, m, n, k, _DGEMM_ALPHA,
-                     _PTR(at + 8 * rows), m, self.u_at, k, _DGEMM_BETA,
-                     self.h_at, ldc)
+                     self.a_at, m, self.u_at, k, _DGEMM_BETA, self.h_at, ldc)
+        self.grow(size)
 
-
-def _dgemm_call(rows, cols, ld):
-    """This thread's :class:`_DgemmCall` for the shape, made on first
-    use."""
-    calls = getattr(_THREAD_DGEMM_CALLS, "by_shape", None)
-    if calls is None:
-        calls = _THREAD_DGEMM_CALLS.by_shape = {}
-    key = (rows, cols, ld)
-    call = calls.get(key)
-    if call is None:
-        if len(calls) >= _DGEMM_CALLS_KEPT:
-            calls.clear()
-        call = calls[key] = _DgemmCall(rows, cols, ld)
-    return call
+    def grow(self, size):
+        workspace = (ctypes.c_double * size)()
+        self.uv = np.frombuffer(workspace)
+        self.a_at.value = self.uv_at = ctypes.addressof(workspace)
 
 
 class _BoundUpdate:
@@ -478,14 +444,15 @@ class _BoundUpdate:
 
     Binding reads what every step shares: whether ``h`` is a row-major
     float64 view that the ``dgemm`` can update in place, its address and
-    row stride, and the caller's -0 fact. ``bound(u, v)`` is then
+    row stride, and the caller's -0 fact (``no_negative_zero``: ``h``
+    holds no -0.0). ``bound(u, v)`` is then
     ``h[:len(u), -len(v):] -= np.outer(u, v)``, bit for bit, on the
     top-right block that the lengths of ``u`` and ``v`` give, by the
-    rules of :func:`subtract_outer`. The call copies ``u`` and ``v`` into
-    the workspace of the thread's :class:`_DgemmCall` for the shape, so
-    no step reads an address or a layout, and no binding builds ctypes
-    objects once its thread has met the shape. A binding is for the
-    thread that made it.
+    rules of :func:`subtract_outer`. Binding fetches the thread's
+    :class:`_DgemmCall` and grows its workspace to ``rows + cols``; each
+    update copies ``v`` and ``u`` there and sets the call's dims and
+    pointers, so no step reads an address or a layout. A binding is for
+    the thread that made it.
     """
 
     __slots__ = ("h", "_rows", "_cols", "_clean", "_target", "_ld",
@@ -509,7 +476,12 @@ class _BoundUpdate:
             # a third of the time of ``h.ctypes.data``
             self._target = ctypes.addressof(ctypes.c_char.from_buffer(h)) \
                 if flags.c_contiguous else h.ctypes.data
-            self._call = _dgemm_call(rows, cols, ld)
+            call = getattr(_THREAD, "dgemm", None)
+            if call is None:
+                call = _THREAD.dgemm = _DgemmCall(rows + cols)
+            elif call.uv.size < rows + cols:
+                call.grow(rows + cols)
+            self._call = call
 
     def __call__(self, u, v):
         rows, cols = len(u), len(v)
@@ -522,18 +494,18 @@ class _BoundUpdate:
         if (self._target is not None and u.dtype is _F64
                 and v.dtype is _F64
                 and (clean or rows * cols >= _CHECKED_MIN)):
-            # u ends where v starts, so one dot covers both
-            call, top = self._call, self._rows
+            # v ends where u starts, so one dot covers both
+            call = self._call
             uv = call.uv
-            lo, hi = top - rows, top
+            lo, hi = cols, cols + rows
+            uv[:cols] = v
             uv[lo:hi] = u
-            uv[hi:hi + cols] = v
-            both = uv[lo:hi + cols]
+            both = uv[:hi]
             exact = math.isfinite(both.dot(both))
             if exact and not clean:
                 mag = np.abs(both)
-                exact = mag[mag[:rows].argmin()] \
-                    * mag[rows + mag[rows:].argmin()] > 0.0
+                exact = mag[mag[:cols].argmin()] \
+                    * mag[cols + mag[cols:].argmin()] > 0.0
             # u is dense in most updates: two scalar tests first
             elif exact and rows * cols >= _EDGE_SEARCH_MIN \
                     and not (uv[lo] and uv[hi - 1]):
@@ -543,24 +515,25 @@ class _BoundUpdate:
                 lo, hi = lo + int(nonzero[0]), lo + int(nonzero[-1]) + 1
             if exact:
                 dims = call.dims
-                dims[1], dims[2] = cols, hi - lo
+                dims[1], dims[2], dims[3] = cols, hi - lo, self._ld
                 call.u_at.value = call.uv_at + 8 * lo
-                # the block's row lo - (top - rows), its first column
+                # the block's row lo - cols, its first column
                 call.h_at.value = self._target + 8 * (
-                    (lo - top + rows) * self._ld + self._cols - cols)
+                    (lo - cols) * self._ld + self._cols - cols)
                 _DGEMM(*call.args)
                 return
-        _row_blocks(self.h[:rows, self._cols - cols:], u, v)
+        h = self.h[:rows, self._cols - cols:]
+        np.subtract(h, np.multiply(u[:, None], v), out=h)
 
 
-def subtract_outer(h, u, v, *, no_negative_zero=False):
+def subtract_outer(h, u, v):
     """In place ``h -= np.outer(u, v)``, bit for bit, without the n x n
-    temporary.
+    temporary on the BLAS route.
 
     Each entry is ``h[i, j] - u[i] * v[j]`` with the product rounded
     first, as in the unfused expression. ``h`` may be any writable 2-D
     view; ``v`` must not share memory with ``h`` (pass a copy of a row
-    of ``h``), or the row blocks could read entries already updated.
+    of ``h``).
 
     The one BLAS route is a k=1 call of the Fortran ``dgemm`` that SciPy
     exports for Cython, through ctypes, on ``h^T`` in place with the row
@@ -575,33 +548,35 @@ def subtract_outer(h, u, v, *, no_negative_zero=False):
     when ``h`` is a row-major float64 view (unit column stride, a row
     stride of at least ``cols``), the sum of the squares of ``u`` and
     ``v`` is finite (an inf or a NaN fails, and so, conservatively, does
-    a sum that overflows), and either ``no_negative_zero=True`` states
-    that ``h`` holds no -0.0 or no product can round to zero
-    (``min|u| min|v| > 0``, by the monotonicity of rounding). The
-    magnitude test runs from ``_CHECKED_MIN`` entries; the statement
-    takes the route at any size. Everything else takes numpy row blocks
-    of about ``OUTER_BLOCK`` entries. Neither path creates a -0 in a
-    matrix that holds none (``x - y`` is -0 only when ``x`` is), so one
-    check of the matrix a run starts with states the fact for the run.
-    A true statement changes no byte; a false one can leave a -0 where
-    the unfused expression gives +0.
+    a sum that overflows), and either the caller's binding states the -0
+    fact, that ``h`` holds no -0.0 (``_BoundUpdate(h, True)``), or no
+    product can round to zero (``min|u| min|v| > 0``, by the monotonicity
+    of rounding). The magnitude test runs from ``_CHECKED_MIN`` entries;
+    the fact takes the route at any size. Everything else takes one
+    numpy ``np.subtract(h, np.multiply(u[:, None], v), out=h)``. Neither
+    path creates a -0 in a matrix that holds none (``x - y`` is -0 only
+    when ``x`` is), so one check of the matrix a run starts with states
+    the fact for the run. A true fact changes no byte; a false one can
+    leave a -0 where the unfused expression gives +0.
 
-    Under the statement an update of ``_EDGE_SEARCH_MIN`` entries or more
-    also leaves out the leading and trailing rows where ``u`` is +-0, and
-    does nothing when all of ``u`` is: ``h[i, j] - (+-0)`` is ``h[i, j]``
-    for every ``h[i, j]`` but -0 and a signalling NaN, which numpy never
+    Under the fact an update of ``_EDGE_SEARCH_MIN`` entries or more also
+    leaves out the leading and trailing rows where ``u`` is +-0, and does
+    nothing when all of ``u`` is: ``h[i, j] - (+-0)`` is ``h[i, j]`` for
+    every ``h[i, j]`` but -0 and a signalling NaN, which numpy never
     makes. These are the zeroed rows of the implicit LU projectors and
     the trailing zeros of the deflated directions of
     :func:`absolve.strategies.gilu_solve`.
 
-    The call binds ``h`` for one update (:class:`_BoundUpdate`); the
-    engine, the direction deflation and the packed implicit LU bind
-    their matrix once per run.
+    The call binds ``h`` for one update without the fact
+    (:class:`_BoundUpdate`); the engine, the direction deflation and the
+    packed implicit LU bind their matrix once per run, with the fact
+    where they know it. Each thread's bindings share one ``dgemm`` call
+    (:class:`_DgemmCall`).
     """
     if u.shape != h.shape[:1] or v.shape != h.shape[1:]:
         raise ValueError(f"u {u.shape} and v {v.shape} do not match h "
                          f"{h.shape}")
-    _BoundUpdate(h, no_negative_zero)(u, v)
+    _BoundUpdate(h)(u, v)
 
 
 def update_projector(state, scaled_row, w, tol=None):

@@ -60,6 +60,8 @@ FAMILIES = ("regular", "rankdef", "hilbert-like-int", "twopower-illcond")
 # solution-error reference on rank-deficient systems is the least-norm
 # solution rather than the planted one
 LEAST_NORM_METHODS = {"huang", "mhuang", "stable"}
+# method heads whose solvers take no tolerance override
+_NO_TOL_METHODS = ("kt", "dio", "absm")
 
 
 class Lcg64:
@@ -475,6 +477,7 @@ def parse_method(method_id):
                 opts["seed"] = value
             else:
                 raise ValueError(f"unknown absm option {key!r}")
+        iterative.IterParams(**opts)  # a bad m, y or seed raises here
         return head, opts
     if parts[1:]:
         raise ValueError(f"method {method_id!r} takes no options")
@@ -488,9 +491,12 @@ def run_method(method_id, a, b, *, a_int=None, b_int=None, kt_system=None,
     ``a_int``/``b_int`` supply the exact data for ``dio``; ``kt_system``
     (or an assembled matrix with ``kt_m`` for the split) supplies the
     block form for ``kt:*`` methods. Solver failures propagate as the
-    solver's exceptions.
+    solver's exceptions. ``tol`` is refused for the methods that take no
+    tolerance override (``dio``, ``kt:*`` and ``absm:*``).
     """
     head, opts = parse_method(method_id)
+    if tol is not None and head in _NO_TOL_METHODS:
+        raise ValueError(f"tol does not apply to method {method_id!r}")
 
     if head == "dio":
         if a_int is None or b_int is None:
@@ -508,9 +514,8 @@ def run_method(method_id, a, b, *, a_int=None, b_int=None, kt_system=None,
         return x, kt_system.n + kt_system.m, rep.mult_count
 
     if head == "absm":
-        params = iterative.IterParams(m=opts["m"], scaling=opts["scaling"],
-                                      seed=opts["seed"])
-        trace = iterative.limited_memory_solve(a, b, params)
+        trace = iterative.limited_memory_solve(a, b,
+                                               iterative.IterParams(**opts))
         return trace.x, a.shape[1], 0
 
     if head == "ilu" and a.shape[0] == a.shape[1]:

@@ -51,7 +51,7 @@ class ParameterStrategy:
         return np.eye(n)
 
     def begin(self, a):
-        """Validate the system shape and reset per-run caches."""
+        """Validate the system shape and reset per-run state."""
 
     def scaling(self, i, state):
         """Return the scaling vector v_i, or None for the unit vector e_i."""
@@ -135,21 +135,14 @@ class ModifiedHuangStrategy(ParameterStrategy):
     dependent rows.
     """
 
-    def begin(self, a):
-        self._cache = {}
-
     def classify_vector(self, i, state, s, y_norm, h_norm):
-        p2 = state.h @ s
+        # the step's search vector: the engine tests it, then steps on it
+        self._p2 = p2 = state.h @ s
         state.counter.add(state.n * state.n)
-        self._cache[i] = p2
         return p2, y_norm * h_norm
 
     def search_vector(self, i, state, s, z):
-        p2 = self._cache.pop(i, None)
-        if p2 is None:
-            p2 = state.h @ s
-            state.counter.add(state.n * state.n)
-        return p2
+        return self._p2
 
     def update_h(self, state, s, w, p, den):
         n = state.n
@@ -283,24 +276,20 @@ class GiluStrategy(ImplicitLUStrategy):
 
 
 class _CachedSearchStrategy(ParameterStrategy):
-    """Hooks shared by strategies whose ``scaling`` caches, per equation,
-    the search vector H^T a_i and the row norm |a_i|: the dependency test
-    and the step both use the cached vector.
+    """Hooks shared by strategies whose ``scaling`` computes the step's
+    search vector H^T a_i and row norm |a_i| and keeps them as ``_pt``
+    and ``_a_norm`` until the next step's scaling: the dependency test
+    and the step both use the kept vector.
     """
 
-    def begin(self, a):
-        self._cache = {}
-
     def classify_vector(self, i, state, s, y_norm, h_norm):
-        pt, a_norm = self._cache[i]
-        return pt, a_norm * h_norm
+        return self._pt, self._a_norm * h_norm
 
     def search_vector(self, i, state, s, z):
-        pt, _ = self._cache.pop(i)
-        return pt
+        return self._pt
 
     def update_h(self, state, s, w, p, den):
-        # w = a_i, and the cached p = H^T a_i has the bytes of w^T H (the
+        # w = a_i, and the kept p = H^T a_i has the bytes of w^T H (the
         # same BLAS call), so the update reuses it
         self._oblique_update(state, s, w, p)
 
@@ -323,9 +312,8 @@ class ImplicitQRStrategy(_CachedSearchStrategy):
         row = a[i]
         pt = state.h.T @ row
         v = a @ pt
-        a_norm = core._norm(row)
+        self._pt, self._a_norm = pt, core._norm(row)
         state.counter.add(n * n + m * n + n)
-        self._cache[i] = (pt, a_norm)
         return v
 
 
@@ -346,14 +334,13 @@ class ConjugateDirectionStrategy(_CachedSearchStrategy):
         if skew > 1e-10 * (1.0 + float(np.abs(a).max())):
             raise UnsupportedShape(
                 f"matrix is not symmetric (max asymmetry {skew:.3e})")
-        super().begin(a)
 
     def scaling(self, i, state):
         row = state.matrix[i]
         pt = state.h.T @ row
         n = state.n
         state.counter.add(n * n)
-        self._cache[i] = (pt, core._norm(row))
+        self._pt, self._a_norm = pt, core._norm(row)
         state.counter.add(n)
         return pt
 

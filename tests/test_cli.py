@@ -281,6 +281,22 @@ def test_unknown_method_is_a_usage_error(tmp_path, capsys):
     assert code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("method", ("absm:y=bogus", "absm:m=0",
+                                    "absm:seed=random"))
+def test_bad_iteration_options_are_usage_errors(tmp_path, capsys, method):
+    mat, rhs = solve_files(tmp_path, [[2.0, 0.0], [0.0, 4.0]], [6.0, 8.0])
+    code = cli.main(["solve", mat, rhs, "--method", method])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert out == "" and err.startswith("absolve: ")
+    # bench refuses the list before it generates a problem
+    code = cli.main(["bench", "--suite", "determined", "--sizes", "8",
+                     "--methods", f"{method},huang"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert out == "" and err.startswith("absolve: ")
+
+
 def test_missing_file_is_a_data_error(tmp_path, capsys):
     rhs = write(tmp_path / "rhs.txt", "1 1 real\n1.0\n")
     code = cli.main(["solve", str(tmp_path / "nope.txt"), rhs])

@@ -134,7 +134,7 @@ def _subtract_outer_case(name, rng):
         h = rng.standard_normal((6, 6))
         return h, rng.standard_normal(6), h[2].copy()
     if name == "row-blocks":
-        rows = 3 * core.OUTER_BLOCK // 400 + 7
+        rows = 252  # 100800 entries: a tall update
         return rng.standard_normal((rows, 400)), rng.standard_normal(rows), \
             rng.standard_normal(400)
     # signed zeros: -0.0 - (+0.0) must stay -0.0, 0.0 - (-0.0) is +0.0
@@ -295,7 +295,7 @@ def test_subtract_outer_on_the_fact_takes_blas_at_any_size(
         h, u, v = _with_zeros(rng, h, u, v)
     assert not core._holds_negative_zero(h)
     expected = h - np.outer(u, v)
-    core.subtract_outer(h, u, v, no_negative_zero=True)
+    core._BoundUpdate(h, True)(u, v)
     assert h.tobytes() == expected.tobytes()
     assert np.array_equal(np.signbit(h), np.signbit(expected))
     rows, cols = shape
@@ -333,7 +333,7 @@ def test_small_updates_that_blas_cannot_do_exactly_take_the_row_blocks(
     before = parent[:, :parent.shape[1] - cols].copy()
     with np.errstate(invalid="ignore"):
         expected = h - np.outer(u, v)
-        core.subtract_outer(h, u, v, no_negative_zero=fact)
+        core._BoundUpdate(h, fact)(u, v)
     assert h.tobytes() == expected.tobytes()
     assert np.array_equal(np.signbit(h), np.signbit(expected))
     assert parent[:, :parent.shape[1] - cols].tobytes() == before.tobytes()
@@ -350,7 +350,7 @@ def test_subtract_outer_searches_edge_rows_from_its_size_gate(dgemm_calls):
         u[-5:] = -0.0
         expected = h - np.outer(u, v)
         dgemm_calls.clear()
-        core.subtract_outer(h, u, v, no_negative_zero=True)
+        core._BoundUpdate(h, True)(u, v)
         assert h.tobytes() == expected.tobytes()
         searched = n * n >= core._EDGE_SEARCH_MIN
         assert searched == (n == 150)
@@ -377,7 +377,7 @@ def _check_view_update(parent, index, u, v, fact=False):
     before = parent.copy()
     with np.errstate(invalid="ignore", over="ignore"):
         expected = h - np.outer(u, v)
-        core.subtract_outer(h, u, v, no_negative_zero=fact)
+        core._BoundUpdate(h, fact)(u, v)
     assert h.tobytes() == expected.tobytes()
     assert np.array_equal(np.signbit(h), np.signbit(expected))
     assert parent[outside].tobytes() == before[outside].tobytes()
@@ -452,7 +452,7 @@ def test_strided_updates_from_several_threads_keep_their_own_shapes():
 
     def run(big, left, steps):
         for u, v in steps:
-            core.subtract_outer(big[:, left:], u, v, no_negative_zero=True)
+            core._BoundUpdate(big[:, left:], True)(u, v)
 
     threads = [threading.Thread(target=run, args=job[:3]) for job in jobs]
     for t in threads:
@@ -461,6 +461,65 @@ def test_strided_updates_from_several_threads_keep_their_own_shapes():
         t.join()
     for big, _, _, expected in jobs:
         assert big.tobytes() == expected.tobytes()
+
+
+def test_interleaved_bindings_share_the_threads_growing_workspace(
+        dgemm_calls):
+    # bindings of one thread share one dgemm call whose workspace grows
+    # to the largest binding: each update must set its own dims and read
+    # the workspace as it is now, not as it was when it was bound
+    rng = np.random.default_rng(48)
+    # a 4 x 4 matrix at the start of a padded buffer: an update that
+    # used a larger binding's leading dimension would write the padding
+    small = np.zeros(16 + 4 * 300)
+    small[:16] = _near_cancellation(rng, 4, 4)[0].ravel()
+    square = _near_cancellation(rng, 300, 300)[0]
+    wide = _near_cancellation(rng, 300, 300)[0]
+    buffers = {"small": small, "square": square, "slice": wide}
+    expected = {name: buf.copy() for name, buf in buffers.items()}
+
+    def view(name, buf):
+        if name == "small":
+            return buf[:16].reshape(4, 4)
+        return buf[:, 150:] if name == "slice" else buf
+
+    bindings = {}
+
+    def bind(name):
+        for fact in (False, True):
+            bindings[name, fact] = core._BoundUpdate(
+                view(name, buffers[name]), fact)
+
+    def update(name, fact):
+        want = view(name, expected[name])
+        rows, cols = want.shape
+        u, v = _full_mantissa(rng, rows), _full_mantissa(rng, cols)
+        if fact and rows > 4:
+            u[:20] = 0.0  # the fact's edge search leaves these rows out
+        want[...] = want - np.outer(u, v)
+        bindings[name, fact](u, v)
+
+    def run():
+        bind("small")
+        update("small", True)
+        bind("slice")  # grows the workspace to 450 entries
+        update("small", True)
+        update("small", False)
+        update("slice", False)
+        bind("square")  # grows it to 600
+        for name in ("slice", "small", "square", "slice", "small"):
+            for fact in (True, False):
+                update(name, fact)
+
+    thread = threading.Thread(target=run)  # a thread with no workspace yet
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    for name, buf in buffers.items():
+        assert buf.tobytes() == expected[name].tobytes(), name
+        assert np.array_equal(np.signbit(buf), np.signbit(expected[name]))
+    # the 4 x 4 updates with the fact and all larger ones took the dgemm
+    assert len(dgemm_calls) == 3 + 2 * 5 - 2
 
 
 def test_view_leading_dimensions_must_fit_a_c_int():
@@ -531,7 +590,7 @@ def test_subtract_outer_on_the_callers_negative_zero_fact(signed_zeros,
     nonzero = np.flatnonzero(u)
     rows = int(nonzero[-1]) - int(nonzero[0]) + 1
     assert (rows < 300) == signed_zeros
-    core.subtract_outer(h, u, v, no_negative_zero=True)
+    core._BoundUpdate(h, True)(u, v)
     assert h.tobytes() == expected.tobytes()
     assert dgemm_calls == [(300, rows)]
 
@@ -545,21 +604,21 @@ def test_subtract_outer_falls_back_on_nonfinite_input_despite_the_fact(
     u[17] = bad
     with np.errstate(invalid="ignore"):
         expected = h - np.outer(u, v)
-        core.subtract_outer(h, u, v, no_negative_zero=True)
+        core._BoundUpdate(h, True)(u, v)
     assert h.tobytes() == expected.tobytes()
     assert dgemm_calls == []
 
 
 def test_subtract_outer_falls_back_when_the_squares_overflow(dgemm_calls):
     # finite entries whose squares overflow fail the finiteness test,
-    # conservatively, and the update takes the row blocks
+    # conservatively, and the update takes numpy
     rng = np.random.default_rng(39)
     h, u, v = _near_cancellation(rng, 300, 300)
     u[3] = 1e200
     expected = h - np.outer(u, v)
     with np.errstate(over="ignore"):
         assert not np.isfinite(u.dot(u))
-        core.subtract_outer(h, u, v, no_negative_zero=True)
+        core._BoundUpdate(h, True)(u, v)
     assert h.tobytes() == expected.tobytes()
     assert dgemm_calls == []
 
@@ -614,7 +673,7 @@ def test_subtract_outer_row_skip_is_the_unfused_update(data):
     before = parent[:, :parent.shape[1] - cols].copy()
     with np.errstate(invalid="ignore", over="ignore"):
         expected = h - np.outer(u, v)
-        core.subtract_outer(h, u, v, no_negative_zero=fact)
+        core._BoundUpdate(h, fact)(u, v)
     assert h.tobytes() == expected.tobytes()
     assert np.array_equal(np.signbit(h), np.signbit(expected))
     assert parent[:, :parent.shape[1] - cols].tobytes() == before.tobytes()
@@ -692,8 +751,8 @@ def test_bound_updates_reject_blocks_larger_than_the_matrix():
 
 
 def test_threads_solving_systems_of_one_shape_get_the_serial_bytes():
-    # bindings of one shape share their dgemm call per thread; the dgemm
-    # runs without the GIL, so threads must not share one
+    # the bindings of a thread share its dgemm call; the dgemm runs
+    # without the GIL, so threads must not share one
     from absolve import problems
     systems = [problems.generate(problems.ProblemSpec(
         kind="determined", n=60, seed=seed)) for seed in range(6)]

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from absolve import cli, problems
+from absolve import cli, core, problems
 from absolve.errors import UnrepresentableEntry
 
 from oracles import fraction_det, fraction_rank
@@ -323,6 +323,16 @@ def test_parse_method_rejects_malformed_ids(bad):
         problems.parse_method(bad)
 
 
+@pytest.mark.parametrize("bad,message", [
+    ("absm:m=0", "window size"), ("absm:m=-2:y=energy", "window size"),
+    ("absm:y=bogus", "scaling"), ("absm:seed=random", "seed"),
+])
+def test_parse_method_rejects_bad_iteration_options(bad, message):
+    # the options the iteration would refuse are refused with the id
+    with pytest.raises(ValueError, match=message):
+        problems.parse_method(bad)
+
+
 def test_run_method_requires_matching_data():
     p = problems.generate(problems.ProblemSpec(kind="determined", n=4,
                                                seed=8))
@@ -330,6 +340,18 @@ def test_run_method_requires_matching_data():
         problems.run_method("dio", p.a, p.b)
     with pytest.raises(ValueError):
         problems.run_method("kt:a1b1", p.a, p.b)
+
+
+@pytest.mark.parametrize("method", ("dio", "kt:a1b1", "absm:m=2"))
+def test_run_method_refuses_a_tolerance_it_cannot_apply(method):
+    p = problems.generate(problems.ProblemSpec(kind="kt", n=4, m=2, seed=3))
+    data = dict(a_int=p.a_int, b_int=p.b_int, kt_system=p.kt_system)
+    with pytest.raises(ValueError, match=f"tol does not apply to method "
+                                         f"{method!r}"):
+        problems.run_method(method, p.a, p.b, tol=core.Tolerances(), **data)
+    # the same call without tol runs the solver
+    x, _, _ = problems.run_method(method, p.a, p.b, **data)
+    assert x.shape == (p.a.shape[1],)
 
 
 def test_split_assembled_round_trips():

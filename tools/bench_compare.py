@@ -18,18 +18,16 @@ its ``environment`` record, and leaves the others as they are.
   apart than the parent's interquartile range).
 * ``trace`` makes traced runs of one workload (``--workload``, by
   default ``dense-large``), in pairs that alternate the checkouts, and
-  records every run's per-layer metrics and each side's medians.
-
-Every run lasts ``BENCHMARK.json``'s ``run_seconds``.
+  records every run's per-layer metrics and each side's medians. Every
+  run of ``pairs`` and ``trace`` lasts ``BENCHMARK.json``'s
+  ``run_seconds``.
 * ``kernel`` times the packed ``implicit_lu_solve``, the engine's
   ``ilu``, ``huang``, ``mhuang`` and ``iqr`` strategies, ``gilu_solve``
   with unit seeds, ``numpy.linalg.solve``, and one rank-one update with
   the -0 fact as the engine and ``gilu_solve`` make it inside a run: on
   an n x n matrix (``u = b``, ``v = a[0]``) and on its trailing n x (n/2)
-  column slice. A checkout with ``core._BoundUpdate`` binds the matrix
-  once and times the bound call, as its solvers do; an older one times
-  ``core.subtract_outer(..., no_negative_zero=True)``, as its solvers
-  call it. The systems are regular with n=100, 150, 200, 300 and 600:
+  column slice, each bound once (``core._BoundUpdate``), as the solvers
+  bind them. The systems are regular with n=100, 150, 200, 300 and 600:
   at the three smaller sizes per-step dispatch weighs most. Under the key
   ``dio`` it times the exact integer layer: ``bezout_gcd`` over every
   certificate row that ``diophantine.solve`` meets on three n=16
@@ -86,13 +84,6 @@ solvers = {
 }
 
 
-def bind(h):
-    # the update of h with the -0 fact, as a run of the solvers makes it
-    if hasattr(core, "_BoundUpdate"):
-        return core._BoundUpdate(h, True)
-    return lambda u, v: core.subtract_outer(h, u, v, no_negative_zero=True)
-
-
 def best_of(call):
     call()
     times = []
@@ -110,7 +101,9 @@ for n in map(int, sys.argv[2].split(",")):
     work = p.a.copy()
     # the trailing n x (n/2) column slice, as gilu_solve deflates it
     tail = work[:, n - n // 2:]
-    update, update_tail = bind(work), bind(tail)
+    # the updates with the -0 fact, as a run of the solvers binds them
+    update = core._BoundUpdate(work, True)
+    update_tail = core._BoundUpdate(tail, True)
     out[str(n)] = {name: best_of(lambda: solve(p.a, p.b))
                    for name, solve in solvers.items()}
 
