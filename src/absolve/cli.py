@@ -187,7 +187,11 @@ def cmd_bench(args):
         return _fail("empty method list", EXIT_USAGE)
     try:
         for method in methods:
-            problems.parse_method(method)
+            head, _ = problems.parse_method(method)
+            # only the kt suite carries the block form a kt method solves
+            if head == "kt" and args.suite != "kt":
+                return _fail(f"method {method!r} needs --suite kt, got "
+                             f"--suite {args.suite}", EXIT_USAGE)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
 

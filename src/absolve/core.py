@@ -13,6 +13,9 @@ is just row ``i`` of ``A``), projects it through the running projector matrix
   deflates ``H`` by the rank-one oblique update
   ``H <- H - (H y) (w^T H) / (w^T H y)``.
 
+The strategy (:mod:`absolve.strategies`) chooses ``v_i``, ``p`` and the
+two factors of the update; the engine steps and applies the update.
+
 ``H`` starts from any nonsingular matrix (identity by default) and after the
 run annihilates every processed scaled row from the right and every accepted
 ``w`` from the left. The accepted search vectors ``P``, scalings ``V``, and
@@ -191,7 +194,7 @@ def solve(a, b, strategy="huang", x1=None, tol=None, keep_iterates=False,
         If a dependent equation has a nonvanishing scaled residual. The
         partial report is attached to the exception.
     StrategyBreakdown
-        If the strategy's direction seed yields a vanishing pivot
+        If the strategy's search vector yields a vanishing pivot
         (:class:`~absolve.errors.RegularityFailure` for implicit LU).
     """
     a, b = _as_system(a, b)
@@ -226,10 +229,10 @@ def solve(a, b, strategy="huang", x1=None, tol=None, keep_iterates=False,
     # the scalar dispatch (as is ``u.dot(v)`` for ``u @ v`` on vectors)
     b_list = b.tolist()
 
-    # The built-in hooks change h only through rank-one updates, which
-    # create no -0.0 in a matrix that holds none, so one scan of the
-    # start projector gives the -0 fact of the run's bound updates.
-    strategy._bound = _BoundUpdate(state.h, not _holds_negative_zero(state.h))
+    # The run changes h only through rank-one updates, which create no
+    # -0.0 in a matrix that holds none, so one scan of the start
+    # projector gives the -0 fact of every update.
+    update = _BoundUpdate(state.h, not _holds_negative_zero(state.h))
     # multiplies of the current step not yet added to the counter; the
     # step adds them once, and an exception adds what was done
     done = 0
@@ -285,8 +288,7 @@ def solve(a, b, strategy="huang", x1=None, tol=None, keep_iterates=False,
                 raise IncompatibleSystem(i, report=partial,
                                          detail=f"scaled residual {tau:.3e}")
 
-            z = strategy.direction_seed(i, state, s)
-            p = strategy.search_vector(i, state, s, z)
+            p = strategy.search_vector(i, state, s)
             den = float(y.dot(p))
             # most strategies test the search vector itself
             p_norm = test_norm if p is test_vec else _norm(p)
@@ -299,8 +301,7 @@ def solve(a, b, strategy="huang", x1=None, tol=None, keep_iterates=False,
             x -= alpha * p
             done += n + 1
 
-            w = strategy.projection_seed(i, state, s, z)
-            strategy.update_h(state, s, w, p, den)
+            update(*strategy.update_factors(i, state, s, p, den))
             counter.add(done)
             done = 0
 
@@ -314,9 +315,6 @@ def solve(a, b, strategy="huang", x1=None, tol=None, keep_iterates=False,
     except BaseException:
         counter.add(done)
         raise
-    finally:
-        # hooks called outside a run make one-shot updates
-        strategy._bound = None
 
     res = float(np.linalg.norm(a @ x - b))
     counter.add(m * n + m)

@@ -1,12 +1,15 @@
 """Named parameter policies for the scaled projection engine.
 
 Each strategy fixes the free choices of the engine loop: the scaling vector
-applied to the current equation, the seed of the search vector, the seed of
-the projector update, and the update formula itself. The engine calls the
-hooks in a fixed order per step:
+applied to the current equation, the search vector, and the factors of the
+projector update. A strategy only chooses; the engine steps and updates.
+The engine calls the hooks in a fixed order per step:
 
-    scaling -> classify_vector -> direction_seed -> search_vector
-            -> validate_pivot -> projection_seed -> update_h
+    scaling -> classify_vector -> search_vector -> validate_pivot
+            -> update_factors
+
+and then subtracts ``np.outer(u, v)`` of the returned factors from the
+projector, through the one rank-one update it binds for the run.
 
 Strategies count every multiply they perform themselves through
 ``state.counter``; the engine counts the shared work (scaled row, projected
@@ -34,18 +37,19 @@ from .errors import (DependentRow, DivisionByZero, RegularityFailure,
 
 
 class ParameterStrategy:
-    """Base policy: unit scalings, seeds equal to the scaled row.
+    """Base policy: unit scalings and the dependency test on ``H y``.
 
-    Subclasses override individual hooks. ``resolves_inconsistency`` marks
-    strategies whose dependent equations never signal incompatibility (the
-    scaled residual of a dependent equation vanishes identically, as for
-    orthogonal scalings on least-squares runs).
+    Subclasses choose the step through ``search_vector``, which returns
+    the search vector ``p``, and ``update_factors``, which returns the
+    factors ``(u, v)`` of the projector update ``H <- H - u v^T``.
+    ``v`` must not share memory with ``H`` (pass a copy of a row).
+    ``resolves_inconsistency`` marks strategies whose dependent equations
+    never signal incompatibility (the scaled residual of a dependent
+    equation vanishes identically, as for orthogonal scalings on
+    least-squares runs).
     """
 
     resolves_inconsistency = False
-    # the run's projector with its -0 fact, bound by core.solve for the
-    # length of a run; the updates go through it
-    _bound = None
 
     def initial_h(self, n):
         return np.eye(n)
@@ -66,43 +70,29 @@ class ParameterStrategy:
         """
         return s, y_norm * h_norm
 
-    def direction_seed(self, i, state, s):
-        """Seed z_i of the search vector (default: the equation's row)."""
-        return state.matrix[i]
-
-    def search_vector(self, i, state, s, z):
-        p = state.h.T @ z
-        state.counter.add(state.n * state.n)
-        return p
+    def search_vector(self, i, state, s):
+        """Search vector p_i of equation i, given ``s = H y_i``."""
+        raise NotImplementedError
 
     def validate_pivot(self, i, den, scale, piv_tol):
         """Strategy-specific pivot check; the engine re-checks generically."""
 
-    def projection_seed(self, i, state, s, z):
-        """Seed w_i of the projector update (default: same as z_i)."""
-        return z
+    def update_factors(self, i, state, s, p, den):
+        """Factors ``(u, v)`` of the update ``H <- H - u v^T`` after the
+        step along ``p`` with pivot ``den``; ``state.h`` is still the
+        step's projector."""
+        raise NotImplementedError
 
-    def update_h(self, state, s, w, p, den):
-        self._oblique_update(state, s, w, w @ state.h)
 
-    def _subtract_outer(self, h, u, v):
-        """``h -= np.outer(u, v)`` through the run's bound projector, or
-        as a one-shot update outside a run."""
-        bound = self._bound
-        if bound is not None and bound.h is h:
-            bound(u, v)
-        else:
-            core.subtract_outer(h, u, v)
-
-    def _oblique_update(self, state, s, w, wh):
-        """``H <- H - s (w^T H) / (w^T s)`` given ``wh = w^T H``."""
-        den_w = float(w @ s)
-        n = state.n
-        if den_w == 0.0:
-            state.counter.add(n * n + n)
-            raise DivisionByZero("projector update pivot w.H.y vanished")
-        self._subtract_outer(state.h, s, wh / den_w)
-        state.counter.add(2 * (n * n + n))
+def _oblique_factors(state, s, w, wh):
+    """Factors of ``H <- H - s (w^T H) / (w^T s)`` given ``wh = w^T H``."""
+    den_w = float(w @ s)
+    n = state.n
+    if den_w == 0.0:
+        state.counter.add(n * n + n)
+        raise DivisionByZero("projector update pivot w.H.y vanished")
+    state.counter.add(2 * (n * n + n))
+    return s, wh / den_w
 
 
 class HuangStrategy(ParameterStrategy):
@@ -115,14 +105,14 @@ class HuangStrategy(ParameterStrategy):
     final solution; the registry also offers it as ``stable``.
     """
 
-    def search_vector(self, i, state, s, z):
+    def search_vector(self, i, state, s):
         # p = H^T a_i = H a_i = s up to symmetric round-off
         return s
 
-    def update_h(self, state, s, w, p, den):
+    def update_factors(self, i, state, s, p, den):
         n = state.n
-        self._subtract_outer(state.h, s, s / den)
         state.counter.add(n * n + n)
+        return s, s / den
 
 
 class ModifiedHuangStrategy(ParameterStrategy):
@@ -141,17 +131,17 @@ class ModifiedHuangStrategy(ParameterStrategy):
         state.counter.add(state.n * state.n)
         return p2, y_norm * h_norm
 
-    def search_vector(self, i, state, s, z):
+    def search_vector(self, i, state, s):
         return self._p2
 
-    def update_h(self, state, s, w, p, den):
+    def update_factors(self, i, state, s, p, den):
         n = state.n
         den_p = float(p @ p)
         if den_p == 0.0:
             state.counter.add(n)
             raise DivisionByZero("reprojected direction vanished")
-        self._subtract_outer(state.h, p, p / den_p)
         state.counter.add(n * n + 2 * n)
+        return p, p / den_p
 
 
 def modified_huang_direction(state, row, tol=None):
@@ -197,30 +187,28 @@ class ImplicitLXStrategy(ParameterStrategy):
 
     def begin(self, a):
         self._used = []
-        self._k = None
 
-    def direction_seed(self, i, state, s):
+    def _pivot_index(self, i, s):
         scores = np.abs(s)
         scores[self._used] = -1.0
         k = int(np.argmax(scores))  # argmax ties break to the smallest index
         self._used.append(k)
-        self._k = k
-        e = np.zeros(state.n)
-        e[k] = 1.0
-        return e
+        return k
 
-    def search_vector(self, i, state, s, z):
-        return state.h[self._k].copy()
+    def search_vector(self, i, state, s):
+        # p = H^T e_k: row k of the projector, copied before the update
+        self._k = k = self._pivot_index(i, s)
+        return state.h[k].copy()
 
-    def update_h(self, state, s, w, p, den):
+    def update_factors(self, i, state, s, p, den):
         n = state.n
-        k = self._k
-        pivot = float(s[k])
+        pivot = float(s[self._k])
         if pivot == 0.0:
             raise DivisionByZero("pivot component of the projected row is 0")
-        # dividing on the s side zeroes row k exactly (s_k/s_k == 1)
-        self._subtract_outer(state.h, s / pivot, state.h[k].copy())
         state.counter.add(n * n + n)
+        # dividing on the s side zeroes row k exactly (s_k/s_k == 1), and
+        # p is row k
+        return s / pivot, p
 
 
 class ImplicitLUStrategy(ImplicitLXStrategy):
@@ -240,11 +228,8 @@ class ImplicitLUStrategy(ImplicitLXStrategy):
             raise UnsupportedShape(
                 f"implicit LU needs m <= n, got {m} rows, {n} columns")
 
-    def direction_seed(self, i, state, s):
-        self._k = i
-        e = np.zeros(state.n)
-        e[i] = 1.0
-        return e
+    def _pivot_index(self, i, s):
+        return i
 
     def validate_pivot(self, i, den, scale, piv_tol):
         if abs(den) <= piv_tol * scale:
@@ -285,13 +270,13 @@ class _CachedSearchStrategy(ParameterStrategy):
     def classify_vector(self, i, state, s, y_norm, h_norm):
         return self._pt, self._a_norm * h_norm
 
-    def search_vector(self, i, state, s, z):
+    def search_vector(self, i, state, s):
         return self._pt
 
-    def update_h(self, state, s, w, p, den):
+    def update_factors(self, i, state, s, p, den):
         # w = a_i, and the kept p = H^T a_i has the bytes of w^T H (the
         # same BLAS call), so the update reuses it
-        self._oblique_update(state, s, w, p)
+        return _oblique_factors(state, s, state.matrix[i], p)
 
 
 class ImplicitQRStrategy(_CachedSearchStrategy):
@@ -379,20 +364,24 @@ class GeneralStrategy(ParameterStrategy):
             return None
         return self.v[:, i]
 
-    def direction_seed(self, i, state, s):
+    def search_vector(self, i, state, s):
+        # the seed z_i, kept for the update's default w_i = z_i
         if self.z is not None:
-            return self.z[:, i]
-        if self.v is None:
-            return state.matrix[i]
-        # no explicit seed: fall back to the scaled row
-        y = state.matrix.T @ self.v[:, i]
-        state.counter.add(state.matrix.size)
-        return y
+            z = self.z[:, i]
+        elif self.v is None:
+            z = state.matrix[i]
+        else:
+            # no explicit seed: fall back to the scaled row
+            z = state.matrix.T @ self.v[:, i]
+            state.counter.add(state.matrix.size)
+        self._z = z
+        p = state.h.T @ z
+        state.counter.add(state.n * state.n)
+        return p
 
-    def projection_seed(self, i, state, s, z):
-        if self.w is None:
-            return z
-        return self.w[:, i]
+    def update_factors(self, i, state, s, p, den):
+        w = self._z if self.w is None else self.w[:, i]
+        return _oblique_factors(state, s, w, w @ state.h)
 
 
 _REGISTRY = {
@@ -412,13 +401,17 @@ def make_strategy(name, **kwargs):
 
     Names: huang, stable, mhuang, ilu, ilx, iqr, cgdir, gilu. ``stable``
     is an alias of ``huang``, the optimally stable choice. ``gilu``
-    requires the initial projector as ``h1=...``.
+    requires the initial projector as ``h1=...``; without it, or for an
+    unknown name, raises ``ValueError``.
     """
     key = name.lower().strip()
     cls = _REGISTRY.get(key)
     if cls is None:
         raise ValueError(
             f"unknown strategy {name!r}; choose from {sorted(_REGISTRY)}")
+    if cls is GiluStrategy and "h1" not in kwargs:
+        raise ValueError("strategy 'gilu' needs its initial projector as "
+                         "h1=...")
     return cls(**kwargs)
 
 

@@ -78,14 +78,15 @@ def test_03_rank_detection_on_deficient_systems():
 
 
 class _RecordingHuang(strategies.HuangStrategy):
-    """Huang choice that snapshots the projector after every update."""
+    """Huang choice that records the projector each update makes."""
 
     def begin(self, a):
         self.h_after = []
 
-    def update_h(self, state, s, w, p, den):
-        super().update_h(state, s, w, p, den)
-        self.h_after.append(state.h.copy())
+    def update_factors(self, i, state, s, p, den):
+        u, v = super().update_factors(i, state, s, p, den)
+        self.h_after.append(state.h - np.outer(u, v))
+        return u, v
 
 
 def test_04_null_space_and_triangular_factorization():
@@ -101,6 +102,8 @@ def test_04_null_space_and_triangular_factorization():
             a_norm = float(np.linalg.norm(a))
 
             # each updated projector annihilates every absorbed scaled row
+            assert len(rec.h_after) == rep.rank
+            assert np.array_equal(rec.h_after[-1], rep.state.h)
             scaled_rows = a.T @ rep.state.v_matrix(n)
             worst = 0.0
             for t, h in enumerate(rec.h_after):

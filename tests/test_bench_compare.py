@@ -29,8 +29,9 @@ def test_kernel_script_times_every_solver_on_this_checkout():
     out = json.loads(proc.stdout)
     assert set(out) == {"8", "dio", "kt"}
     assert set(out["8"]) == {
-        "packed_ilu_s", "engine_ilu_s", "huang_s", "mhuang_s", "iqr_s",
-        "gilu_s", "lapack_s", "subtract_outer_s", "subtract_outer_slice_s"}
+        "packed_ilu_s", "engine_ilu_s", "engine_ilx_s", "huang_s",
+        "mhuang_s", "iqr_s", "gilu_s", "lapack_s", "subtract_outer_s",
+        "subtract_outer_slice_s"}
     assert set(out["dio"]) == {"bezout_gcd_n16_s", "solve_n8_s",
                                "solve_n12_s", "solve_n16_s", "box_3x5_s"}
     assert set(out["kt"]) == {"solver_n100_s", "one_shot_n100_s",

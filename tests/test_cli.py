@@ -441,6 +441,13 @@ def test_bench_usage_errors(capsys):
     assert cli.main(["bench", "--suite", "determined",
                      "--sizes", "8,x"]) == cli.EXIT_USAGE
     capsys.readouterr()
+    # a kt method needs the kt suite's block form: refused before any
+    # problem is generated, not run into a break-down row
+    assert cli.main(["bench", "--suite", "determined", "--sizes", "8",
+                     "--methods", "kt:a1b1,huang"]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "'kt:a1b1' needs --suite kt, got --suite determined" in err
 
 
 def test_unknown_suite_exits_with_usage_code(capsys):

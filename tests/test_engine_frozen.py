@@ -19,14 +19,19 @@ uses exact seed products and KT systems up to n=70.
 
 A second digest freezes the packed implicit LU solver in the same way,
 on full-mantissa, sparse small-integer (whose exact zeros put -0.0 in
-the packed block) and NaN-holding systems.
+the packed block) and NaN-holding systems. A third freezes
+``GeneralStrategy`` under every combination of explicit scalings ``v``,
+search seeds ``z``, update seeds ``w`` and start projector ``h1``, with
+the multiply count of each run, failed runs included.
 """
 
 import hashlib
+import itertools
 
 import numpy as np
 
 from absolve import core, kt, problems, strategies
+from absolve.counting import OpCounter
 from absolve.errors import AbsError
 
 ENGINE_DIGEST = ("9d533a2193e715aff0f34aea94387e66"
@@ -34,6 +39,10 @@ ENGINE_DIGEST = ("9d533a2193e715aff0f34aea94387e66"
 # the packed implicit LU solver, recorded with its two-pass numpy update
 PACKED_LU_DIGEST = ("56a1f6f9dc807044b1f6ae8febe09ee6"
                     "7c397f8570c953cfd681d01371b61da2")
+# GeneralStrategy with explicit v, z, w and h1, recorded when the engine
+# still passed z and w between the hooks (direction_seed, projection_seed)
+GENERAL_DIGEST = ("53252724ee9022138b4a21b0c212b488"
+                  "827aded581efd080933aee04af85d209")
 
 SIZES = (*range(1, 40), 63, 64, 65, 100, 129, 200, 257, 300)
 ENGINE_STRATEGIES = ("huang", "mhuang", "ilu", "ilx", "iqr")
@@ -238,6 +247,68 @@ def packed_lu_runs():
     return runs
 
 
+def _general(a, b, **params):
+    """One GeneralStrategy run with its multiply count, or the failure
+    with the count up to it."""
+    counter = OpCounter()
+    try:
+        rep = core.solve(a, b, strategy=strategies.GeneralStrategy(**params),
+                         keep_iterates=True, counter=counter)
+    except AbsError as exc:
+        return (type(exc).__name__, str(exc),
+                _record(getattr(exc, "report", None)), counter.mults)
+    return rep, counter.mults
+
+
+def general_runs():
+    """(label, thunk) for every run of the GeneralStrategy grid."""
+    names = ("v", "z", "w", "h1")
+    runs = []
+
+    def combos(label, a, b, params):
+        for given in itertools.product((False, True), repeat=len(names)):
+            kw = {k: params[k] for k, on in zip(names, given) if on}
+            runs.append((f"general[{','.join(kw)}]/{label}",
+                         lambda a=a, b=b, kw=kw: _general(a, b, **kw)))
+
+    def near_eye(rng, n, m, bits):
+        # the identity's columns plus small exact integers: admissible
+        # choices whose pivots stay near the diagonal of A
+        return np.eye(n, m) + _ints(rng, n, m) * 2.0 ** -bits
+
+    for n in (1, 2, 3, 4, 5, 8, 13, 31, 64, 100):
+        rng = problems.Lcg64(3000 + n)
+        a = _floats(rng, n, n) + n * np.eye(n)
+        b = _floats(rng, n)
+        bits = 12 + n.bit_length()
+        combos(n, a, b, {k: near_eye(rng, n, n, bits) for k in names})
+    specs = [dict(kind="determined", n=40, target_rank=25, seed=21),
+             dict(kind="overdetermined", n=30, seed=22),
+             dict(kind="underdetermined", n=50, seed=23)]
+    for spec in specs:
+        p = problems.generate(problems.ProblemSpec(**spec))
+        m, n = p.a.shape
+        rng = problems.Lcg64(spec["seed"])
+        bits = 12 + n.bit_length()
+        params = {"v": near_eye(rng, m, m, bits),
+                  "z": near_eye(rng, n, m, bits),
+                  "w": near_eye(rng, n, m, bits),
+                  "h1": near_eye(rng, n, n, bits)}
+        combos(",".join(f"{k}={v}" for k, v in spec.items()), p.a, p.b,
+               params)
+    # a vanishing search seed breaks the pivot, a vanishing update seed
+    # the projector update, both at step 2
+    rng = problems.Lcg64(3999)
+    a = _floats(rng, 6, 6) + 6 * np.eye(6)
+    b = _floats(rng, 6)
+    for name in ("z", "w"):
+        seeds = np.eye(6)
+        seeds[:, 2] = 0.0
+        runs.append((f"general-zero-{name}",
+                     lambda a=a, b=b, kw={name: seeds}: _general(a, b, **kw)))
+    return runs
+
+
 def _digest(runs):
     digest = hashlib.sha256()
     # the runs with an inf in the data spread NaNs on purpose
@@ -257,3 +328,7 @@ def test_engine_output_is_frozen():
 
 def test_packed_implicit_lu_output_is_frozen():
     assert _digest(packed_lu_runs()) == PACKED_LU_DIGEST
+
+
+def test_general_strategy_output_is_frozen():
+    assert _digest(general_runs()) == GENERAL_DIGEST

@@ -75,10 +75,10 @@ def _sprinkle(rng, a, rate, values):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_implicit_lu_update_equals_the_full_update(seed):
-    # for any s, any start and any order of pivot rows update_h gives
-    # h - outer(s / s_k, h_k), bit for bit; called outside a run it has
-    # no -0 fact, so subtract_outer updates every row (the row skip of a
-    # run is tested in test_core)
+    # for any s, any start and any order of pivot rows the factors of
+    # update_factors give h - outer(s / s_k, h_k), bit for bit; a one-shot
+    # update has no -0 fact, so subtract_outer updates every row (the row
+    # skip of a run is tested in test_core)
     rng = np.random.default_rng(seed)
     n = 80
     h = rng.standard_normal((n, n))
@@ -95,8 +95,9 @@ def test_implicit_lu_update_equals_the_full_update(seed):
             s = rng.standard_normal(n)
             _sprinkle(rng, s[:k], 0.9, [0.0, -0.0])
             _sprinkle(rng, s, 0.01, [np.inf, -np.inf, np.nan])
-            strategy._k = int(k)
-            strategy.update_h(state, s, None, None, None)
+            p = strategy.search_vector(int(k), state, s)
+            core.subtract_outer(state.h, *strategy.update_factors(
+                int(k), state, s, p, None))
             expected -= np.outer(s / s[k], expected[k].copy())
             assert state.h.tobytes() == expected.tobytes()
 
@@ -179,6 +180,15 @@ def test_general_strategy_with_unit_columns_matches_implicit_lu():
     rep_g = core.solve(a, b, strategy=general)
     rep_l = core.solve(a, b, strategy="ilu")
     assert np.allclose(rep_g.x, rep_l.x, atol=1e-12)
+
+
+def test_gilu_by_name_needs_its_start_projector():
+    a = np.eye(3)
+    with pytest.raises(ValueError, match="gilu.*h1="):
+        core.solve(a, np.ones(3), strategy="gilu")
+    rep = core.solve(a, np.ones(3), strategy=strategies.make_strategy(
+        "gilu", h1=np.eye(3)))
+    assert np.array_equal(rep.x, np.ones(3))
 
 
 def test_modified_huang_direction_flags_dependent_rows():

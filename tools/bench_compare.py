@@ -22,14 +22,14 @@ its ``environment`` record, and leaves the others as they are.
   run of ``pairs`` and ``trace`` lasts ``BENCHMARK.json``'s
   ``run_seconds``.
 * ``kernel`` times the packed ``implicit_lu_solve``, the engine's
-  ``ilu``, ``huang``, ``mhuang`` and ``iqr`` strategies, ``gilu_solve``
-  with unit seeds, ``numpy.linalg.solve``, and one rank-one update with
-  the -0 fact as the engine and ``gilu_solve`` make it inside a run: on
-  an n x n matrix (``u = b``, ``v = a[0]``) and on its trailing n x (n/2)
-  column slice, each bound once (``core._BoundUpdate``), as the solvers
-  bind them. The systems are regular with n=100, 150, 200, 300 and 600:
-  at the three smaller sizes per-step dispatch weighs most. Under the key
-  ``dio`` it times the exact integer layer: ``bezout_gcd`` over every
+  ``ilu``, ``ilx``, ``huang``, ``mhuang`` and ``iqr`` strategies,
+  ``gilu_solve`` with unit seeds, ``numpy.linalg.solve``, and one
+  rank-one update with the -0 fact as the engine and ``gilu_solve`` make
+  it inside a run: on an n x n matrix (``u = b``, ``v = a[0]``) and on
+  its trailing n x (n/2) column slice, each bound once
+  (``core._BoundUpdate``), as the solvers bind them. The systems are
+  regular with n=100, 150, 200, 300 and 600: at the three smaller sizes
+  per-step dispatch weighs most. Under the key ``dio`` it times the exact integer layer: ``bezout_gcd`` over every
   certificate row that ``diophantine.solve`` meets on three n=16
   ``kind="diophantine"`` systems, ``diophantine.solve`` on one system
   each at n=8, 12 and 16, and ``solutions_in_box`` on a 3x5 system at
@@ -73,6 +73,7 @@ from absolve import core, diophantine, kt, problems, strategies
 solvers = {
     "packed_ilu_s": strategies.implicit_lu_solve,
     "engine_ilu_s": lambda a, b: core.solve(a, b, strategy="ilu"),
+    "engine_ilx_s": lambda a, b: core.solve(a, b, strategy="ilx"),
     "huang_s": lambda a, b: core.solve(a, b, strategy="huang"),
     "mhuang_s": lambda a, b: core.solve(a, b, strategy="mhuang"),
     "iqr_s": lambda a, b: core.solve(a, b, strategy="iqr"),
