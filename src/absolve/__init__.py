@@ -23,8 +23,7 @@ if _threads:
 from . import (core, counting, diophantine, errors, iterative, kt, matfile,
                matrixeq, problems, strategies)
 from .core import (SolveReport, general_solution, implicit_factorization,
-                   reconstruct_inverse, solve, strongly_nonsingular,
-                   update_projector)
+                   reconstruct_inverse, solve, strongly_nonsingular)
 from .counting import OpCounter, StorageMeter
 from .diophantine import bezout_gcd, solutions_in_box
 from .errors import (AbsError, IncompatibleSystem, IntegerInconsistent,
@@ -42,12 +41,12 @@ __all__ = [
     "core", "counting", "diophantine", "errors", "iterative", "kt",
     "matfile", "matrixeq", "problems", "strategies",
     "SolveReport", "general_solution", "implicit_factorization",
-    "reconstruct_inverse", "solve", "strongly_nonsingular",
-    "update_projector", "OpCounter", "StorageMeter", "bezout_gcd",
-    "solutions_in_box", "AbsError", "IncompatibleSystem",
-    "IntegerInconsistent", "MaxIterReached", "SingularKT", "Stagnation",
-    "StrategyBreakdown", "IterParams", "angle_contraction_check",
-    "limited_memory_solve", "recursive_solve", "KTSolver", "KTSystem",
-    "Lcg64", "Metrics", "ProblemSpec", "evaluate", "generate",
-    "gilu_solve", "implicit_lu_solve", "make_strategy", "__version__",
+    "reconstruct_inverse", "solve", "strongly_nonsingular", "OpCounter",
+    "StorageMeter", "bezout_gcd", "solutions_in_box", "AbsError",
+    "IncompatibleSystem", "IntegerInconsistent", "MaxIterReached",
+    "SingularKT", "Stagnation", "StrategyBreakdown", "IterParams",
+    "angle_contraction_check", "limited_memory_solve", "recursive_solve",
+    "KTSolver", "KTSystem", "Lcg64", "Metrics", "ProblemSpec", "evaluate",
+    "generate", "gilu_solve", "implicit_lu_solve", "make_strategy",
+    "__version__",
 ]

@@ -97,6 +97,23 @@ def _fail(message, code):
 
 def cmd_solve(args):
     try:
+        head, _ = problems.parse_method(args.method)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_USAGE)
+    if head == "kt" and args.kt_m is None:
+        return _fail("kt methods need --kt-m to split the assembled matrix",
+                     EXIT_USAGE)
+    if args.tol is not None and head in problems._NO_TOL_METHODS:
+        return _fail(f"--tol does not apply to method {args.method!r}",
+                     EXIT_USAGE)
+    tol = None
+    if args.tol is not None:
+        if not 0.0 <= args.tol < float("inf"):
+            return _fail(f"--tol must be a finite number of at least 0, "
+                         f"got {args.tol!r}", EXIT_USAGE)
+        tol = core.Tolerances(dependency=args.tol, pivot=args.tol)
+
+    try:
         mat = matfile.read_matrix(args.matrix)
         rhs = matfile.read_vector(args.rhs)
     except OSError as exc:
@@ -106,27 +123,10 @@ def cmd_solve(args):
     if mat.shape[0] != rhs.values.shape[0]:
         return _fail(f"matrix has {mat.shape[0]} rows but the right-hand "
                      f"side has {rhs.values.shape[0]} entries", EXIT_DATA)
-
-    try:
-        head, _ = problems.parse_method(args.method)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
     if head == "dio" and (mat.ints is None or rhs.ints is None):
         return _fail("dio needs integer-kind matrix and rhs files",
                      EXIT_DATA)
-    if head == "kt" and args.kt_m is None:
-        return _fail("kt methods need --kt-m to split the assembled matrix",
-                     EXIT_USAGE)
-    if args.tol is not None and head in problems._NO_TOL_METHODS:
-        return _fail(f"--tol does not apply to method {args.method!r}",
-                     EXIT_USAGE)
 
-    tol = None
-    if args.tol is not None:
-        if not 0.0 <= args.tol < float("inf"):
-            return _fail(f"--tol must be a finite number of at least 0, "
-                         f"got {args.tol!r}", EXIT_USAGE)
-        tol = core.Tolerances(dependency=args.tol, pivot=args.tol)
     try:
         x, rank, _ = problems.run_method(
             args.method, mat.values, rhs.values, a_int=mat.ints,

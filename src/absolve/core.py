@@ -62,8 +62,8 @@ class Tolerances:
     whole-system floor ``|v| (|A|_F |x| + |b|)``, so a numerically zero
     equation of a derived system reads as redundant rather than as a
     contradiction between round-off terms; the pivot test compares
-    ``|v^T A p|`` against ``pivot * |y_i| * |p|``. A negative or NaN
-    field raises ``ValueError``.
+    ``|v^T A p|`` against ``pivot * |y_i| * |p|``. A negative, infinite or
+    NaN field raises ``ValueError``.
     """
 
     dependency: float | None = None
@@ -75,8 +75,10 @@ class Tolerances:
         dep = base if self.dependency is None else self.dependency
         res = base if self.residual is None else self.residual
         piv = base if self.pivot is None else self.pivot
-        if not (dep >= 0 and res >= 0 and piv >= 0):  # a NaN fails too
-            raise ValueError(f"tolerances must be at least 0: {self}")
+        if not (0 <= dep < math.inf and 0 <= res < math.inf
+                and 0 <= piv < math.inf):  # a NaN fails too
+            raise ValueError(f"tolerances must be finite and at least 0: "
+                             f"{self}")
         return dep, res, piv
 
 
@@ -575,38 +577,6 @@ def subtract_outer(h, u, v):
         raise ValueError(f"u {u.shape} and v {v.shape} do not match h "
                          f"{h.shape}")
     _BoundUpdate(h)(u, v)
-
-
-def update_projector(state, scaled_row, w, tol=None):
-    """Apply one rank-one oblique projector update; returns a new state.
-
-    ``scaled_row`` is ``A^T v`` for the equation being absorbed (for unit
-    scalings, the row itself). Requires ``|w^T H scaled_row|`` bounded away
-    from zero, else :class:`~absolve.errors.DivisionByZero`.
-    """
-    from .errors import DivisionByZero
-
-    h = np.asarray(state.h, dtype=float)
-    y = np.asarray(scaled_row, dtype=float)
-    w = np.asarray(w, dtype=float)
-    s = h @ y
-    wh = w @ h
-    den = float(w @ s)
-    n = h.shape[0]
-    threshold = (BASE_TOL * n if tol is None else tol)
-    # scale by the inputs, not by s: once the row is annihilated s is
-    # round-off and a test relative to ||s|| could never fire
-    scale = float(np.linalg.norm(y) * np.linalg.norm(w))
-    if abs(den) <= threshold * (scale + 1e-300):
-        raise DivisionByZero(f"update pivot w.s = {den:.3e} vanishes")
-    new_h = h.copy()
-    subtract_outer(new_h, s, wh / den)
-    return ProjectorState(h=new_h, step=state.step + 1,
-                          p_cols=list(state.p_cols),
-                          v_cols=list(state.v_cols),
-                          pivots=list(state.pivots),
-                          matrix=state.matrix, rhs=state.rhs,
-                          counter=state.counter)
 
 
 def general_solution(report, q):

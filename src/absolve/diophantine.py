@@ -44,18 +44,7 @@ _INT = {int}
 
 
 def _as_int_matrix(a, what="matrix"):
-    rows = []
-    for r in a:
-        if type(r) in _SEQUENCES and set(map(type, r)) <= _INT:
-            rows.append(list(r))
-            continue
-        row = []
-        for v in r:
-            iv = int(v)
-            if iv != v:
-                raise ValueError(f"{what} entry {v!r} is not an integer")
-            row.append(iv)
-        rows.append(row)
+    rows = [_as_int_vector(r, what) for r in a]
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ValueError(f"{what} rows have unequal lengths")
     return rows
@@ -154,37 +143,6 @@ def bareiss_det(mat):
             a[r][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def bareiss_rank(mat):
-    """Exact rank (over the rationals) of an integer matrix."""
-    a = [list(map(int, r)) for r in mat]
-    if not a or not a[0]:
-        return 0
-    m, n = len(a), len(a[0])
-    prev = 1
-    rank = 0
-    row = 0
-    for col in range(n):
-        pivot_row = None
-        for r in range(row, m):
-            if a[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        a[row], a[pivot_row] = a[pivot_row], a[row]
-        for r in range(row + 1, m):
-            for c in range(col + 1, n):
-                a[r][c] = (a[r][c] * a[row][col] - a[r][col] * a[row][c]) \
-                    // prev
-            a[r][col] = 0
-        prev = a[row][col]
-        rank += 1
-        row += 1
-        if row == m:
-            break
-    return rank
 
 
 @dataclass

@@ -59,14 +59,7 @@ class RegularityFailure(StrategyBreakdown):
 
 
 class DivisionByZero(AbsError):
-    """|w.s| is below tolerance in the projector update (inadmissible w)."""
-
-    def __init__(self, detail="projector update pivot w.s vanishes"):
-        super().__init__(detail)
-
-
-class DependentRow(AbsError):
-    """A row was found linearly dependent where independence was required."""
+    """A projector update divides by an exact zero (inadmissible w)."""
 
 
 class NotFullRank(AbsError):

@@ -452,7 +452,8 @@ def parse_method(method_id):
 
     Plain ids (huang, dio, ...) have no options; ``kt:a1b2`` carries the
     stage pair; ``absm:m=3:y=energy[:seed=cyclic]`` carries iteration
-    parameters.
+    parameters. An unknown head or a malformed option raises
+    ``ValueError``.
     """
     parts = method_id.strip().split(":")
     head = parts[0].lower()
@@ -479,6 +480,10 @@ def parse_method(method_id):
                 raise ValueError(f"unknown absm option {key!r}")
         iterative.IterParams(**opts)  # a bad m, y or seed raises here
         return head, opts
+    if head != "dio" and head not in strategies._REGISTRY:
+        heads = sorted([*strategies._REGISTRY, "dio", "kt", "absm"])
+        raise ValueError(f"unknown method {method_id!r}; choose from "
+                         f"{', '.join(heads)}")
     if parts[1:]:
         raise ValueError(f"method {method_id!r} takes no options")
     return head, {}

@@ -32,8 +32,8 @@ import numpy as np
 
 from . import core
 from .counting import OpCounter, StorageMeter
-from .errors import (DependentRow, DivisionByZero, RegularityFailure,
-                     StrategyBreakdown, UnsupportedShape)
+from .errors import (DivisionByZero, RegularityFailure, StrategyBreakdown,
+                     UnsupportedShape)
 
 
 class ParameterStrategy:
@@ -142,31 +142,6 @@ class ModifiedHuangStrategy(ParameterStrategy):
             raise DivisionByZero("reprojected direction vanished")
         state.counter.add(n * n + 2 * n)
         return p, p / den_p
-
-
-def modified_huang_direction(state, row, tol=None):
-    """Search direction of the reprojected Huang update for one more row.
-
-    Projects ``row`` twice through ``state.h`` and returns the direction,
-    or raises :class:`~absolve.errors.DependentRow` when the projection
-    vanishes (the row lies in the span of the processed ones).
-    """
-    h = state.h
-    a = np.asarray(row, dtype=float)
-    s = h @ a
-    p = h @ s
-    n = h.shape[0]
-    threshold = core.BASE_TOL * n if tol is None else tol
-    # reference the row's own size (plus the projector's while it is
-    # still large): a nearly exhausted projector must not shrink the
-    # scale, or the vanishing test could never fire
-    h_norm = float(np.linalg.norm(h))
-    scale = float(np.linalg.norm(a)) * (1.0 + h_norm) ** 2
-    if float(np.linalg.norm(p)) <= threshold * (scale + 1e-300):
-        raise DependentRow(
-            f"row lies in the span of the processed rows (|p| <= "
-            f"{threshold:.1e} * scale)")
-    return p
 
 
 class ImplicitLXStrategy(ParameterStrategy):

@@ -279,6 +279,10 @@ def test_unknown_method_is_a_usage_error(tmp_path, capsys):
     code = cli.main(["solve", mat, rhs, "--method", "huang:x"])
     capsys.readouterr()
     assert code == cli.EXIT_USAGE
+    code = cli.main(["solve", mat, rhs, "--method", "nosuch"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert out == "" and "unknown method 'nosuch'" in err
 
 
 @pytest.mark.parametrize("method", ("absm:y=bogus", "absm:m=0",
@@ -448,6 +452,13 @@ def test_bench_usage_errors(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "'kt:a1b1' needs --suite kt, got --suite determined" in err
+    # an unknown method id is refused the same way, not run into a
+    # break-down row
+    assert cli.main(["bench", "--suite", "determined", "--sizes", "8",
+                     "--methods", "nosuch,huang"]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unknown method 'nosuch'" in err
 
 
 def test_unknown_suite_exits_with_usage_code(capsys):

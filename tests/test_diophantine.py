@@ -60,14 +60,6 @@ def test_bareiss_det_matches_exact_elimination(seed, n):
     assert diophantine.bareiss_det(a) == int(oracles.fraction_det(a))
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 4))
-def test_bareiss_rank_matches_exact_elimination(seed, m, n):
-    rng = np.random.default_rng(seed)
-    a = rng.integers(-4, 5, size=(m, n)).tolist()
-    assert diophantine.bareiss_rank(a) == oracles.fraction_rank(a)
-
-
 def test_single_equation_certificate():
     with pytest.raises(IntegerInconsistent) as exc:
         diophantine.solve([[2, 4]], [3])
