@@ -23,7 +23,7 @@ if _threads:
 from . import (core, counting, diophantine, errors, iterative, kt, matfile,
                matrixeq, problems, strategies)
 from .core import (SolveReport, general_solution, implicit_factorization,
-                   reconstruct_inverse, solve, strongly_nonsingular)
+                   reconstruct_inverse, solve)
 from .counting import OpCounter, StorageMeter
 from .diophantine import bezout_gcd, solutions_in_box
 from .errors import (AbsError, IncompatibleSystem, IntegerInconsistent,
@@ -41,7 +41,7 @@ __all__ = [
     "core", "counting", "diophantine", "errors", "iterative", "kt",
     "matfile", "matrixeq", "problems", "strategies",
     "SolveReport", "general_solution", "implicit_factorization",
-    "reconstruct_inverse", "solve", "strongly_nonsingular", "OpCounter",
+    "reconstruct_inverse", "solve", "OpCounter",
     "StorageMeter", "bezout_gcd", "solutions_in_box", "AbsError",
     "IncompatibleSystem", "IntegerInconsistent", "MaxIterReached",
     "SingularKT", "Stagnation", "StrategyBreakdown", "IterParams",

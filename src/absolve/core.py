@@ -163,7 +163,7 @@ def _as_system(a, b):
 
 
 def solve(a, b, strategy="huang", x1=None, tol=None, keep_iterates=False,
-          counter=None):
+          counter=None, resume=None):
     """Solve ``A x = b`` with a scaled projection strategy.
 
     Parameters
@@ -185,6 +185,20 @@ def solve(a, b, strategy="huang", x1=None, tol=None, keep_iterates=False,
         Record the iterate after every equation (x_1 included).
     counter : OpCounter, optional
         Accumulate multiply counts into an existing counter.
+    resume : SolveReport, optional
+        A kept, completed run of this function on the leading rows of
+        this system. The run continues from a copy of its projector and
+        iterate instead of stepping those rows again, when the kept rows
+        and right-hand side have the bytes of this system's first rows,
+        every kept row is independent under a unit scaling, and the
+        strategy is ``resumable`` (its step reads only its own row, its
+        index and the projector: ``huang``/``stable``, ``mhuang``,
+        ``ilu``, ``gilu``). Otherwise the run starts at row 0. Either way
+        the report is the full run's, bytes, ``eq_status`` and count,
+        provided the kept run was made with the same strategy, start
+        ``x1`` and dependency and pivot tolerances, and counted on its
+        own counter (the default), so that its ``mult_count`` is its
+        own: the kept rows are counted as if stepped again.
 
     Returns
     -------
@@ -226,6 +240,21 @@ def solve(a, b, strategy="huang", x1=None, tol=None, keep_iterates=False,
     counter.add(n * n + m + m * n)
     eq_status = []
     iterates = [x.copy()] if keep_iterates else None
+    start = _resumable_rows(resume, a, b, strategy, keep_iterates)
+    if start:
+        # the kept rows' steps, counted as if taken again: the kept count
+        # less its run's setup and final residual
+        counter.add(resume.mult_count - n * n - 2 * start - 2 * start * n)
+        kept = resume.state
+        state.h = kept.h.copy()
+        state.step = start
+        state.p_cols = list(kept.p_cols)
+        state.v_cols = list(kept.v_cols)
+        state.pivots = list(kept.pivots)
+        x = resume.x.copy()
+        eq_status = list(resume.eq_status)
+        if keep_iterates:
+            iterates = [it.copy() for it in resume.iterates]
     resolved = strategy.resolves_inconsistency
     # Python floats: the same IEEE arithmetic as numpy scalars, without
     # the scalar dispatch (as is ``u.dot(v)`` for ``u @ v`` on vectors)
@@ -239,7 +268,7 @@ def solve(a, b, strategy="huang", x1=None, tol=None, keep_iterates=False,
     # step adds them once, and an exception adds what was done
     done = 0
     try:
-        for i in range(m):
+        for i in range(start, m):
             v = strategy.scaling(i, state)
             if v is None:
                 # unit scaling: the scaled row is row i itself
@@ -269,9 +298,9 @@ def solve(a, b, strategy="huang", x1=None, tol=None, keep_iterates=False,
             if test_norm <= dep_tol * test_scale:
                 x_norm = _norm(x)
                 done += n
-                res_scale = y_norm * x_norm + b_scale \
-                    + v_norm * (a_ref * x_norm + norm_b)
-                if resolved or abs(tau) <= res_tol * (res_scale + 1e-300):
+                if resolved or _residual_vanishes(tau, y_norm, x_norm,
+                                                  b_scale, v_norm, a_ref,
+                                                  norm_b, res_tol):
                     counter.add(done + 1)
                     done = 0
                     eq_status.append(REDUNDANT)
@@ -325,6 +354,115 @@ def solve(a, b, strategy="huang", x1=None, tol=None, keep_iterates=False,
                        residual_norm=res, iterates=iterates)
 
 
+def _residual_vanishes(tau, y_norm, x_norm, b_scale, v_norm, a_ref, norm_b,
+                       res_tol):
+    """The residual test of a dependent row: its scaled residual ``tau``
+    against the row's own magnitudes plus the whole system's floor (see
+    :class:`Tolerances`)."""
+    scale = y_norm * x_norm + b_scale + v_norm * (a_ref * x_norm + norm_b)
+    return abs(tau) <= res_tol * (scale + 1e-300)
+
+
+def _resumable_rows(kept, a, b, strategy, keep_iterates):
+    """How many leading rows of ``(a, b)`` a run can take from ``kept``:
+    all of the kept run's rows where ``solve``'s ``resume`` applies,
+    else 0."""
+    if kept is None or not strategy.resumable or kept.x is None:
+        return 0
+    state = kept.state
+    k = len(kept.eq_status)
+    ka, kb = state.matrix, state.rhs
+    n = a.shape[1]
+    if not 0 < k <= a.shape[0] or len(state.pivots) != k \
+            or state.h is None or ka.shape != (k, n) \
+            or ka.strides[1] != a.strides[1] \
+            or (keep_iterates and kept.iterates is None):
+        return 0
+    if not all(isinstance(v, (int, np.integer)) for v in state.v_cols):
+        return 0
+    # the kept rows must be these rows, bit for bit
+    if a[:k].tobytes() != ka.tobytes() or b[:k].tobytes() != kb.tobytes():
+        return 0
+    return k
+
+
+def replay(report, b, strategy, tol=None, counter=None):
+    """Solve the system of a kept, completed :func:`solve` run for a new
+    right-hand side.
+
+    The projector, the search vectors, the scalings and the pivots of a
+    run do not depend on ``b``; only the iterate, ``tau`` and the
+    residual test do. The replay steps ``x`` from zero along the run's
+    ``p_cols`` with its ``pivots``, recomputes ``tau`` from ``b``, and
+    recomputes the residual test of each redundant row (under the unit
+    scaling that every kept independent row had). The report equals
+    ``solve(A, b, strategy, tol=tol)``'s in ``x`` and its bytes,
+    ``eq_status``, rank and count, provided ``strategy`` and the
+    tolerances are the kept run's and the kept run counted on its own
+    counter (the default), so that its ``mult_count`` is its own: the
+    replay counts the run as if formed again. Its state shares the kept
+    run's projector and search vectors.
+
+    Where a redundant row fails its residual test, or is to be tested
+    under a scaling the run did not keep, the full engine runs instead,
+    and raises :class:`~absolve.errors.IncompatibleSystem` at the row and
+    with the partial report and count that it would anyway.
+    """
+    if report.x is None:
+        raise ValueError("no completed run to replay: the kept run was "
+                         "incompatible")
+    a = report.state.matrix
+    b = np.asarray(b, dtype=float)
+    m, n = a.shape
+    if b.shape != (m,):
+        raise ValueError("rhs length must equal the row count")
+    if isinstance(strategy, str):
+        from .strategies import make_strategy
+        strategy = make_strategy(strategy)
+    _, res_tol, _ = (tol or Tolerances()).resolve(n)
+    counter = counter if counter is not None else OpCounter()
+    kept = report.state
+    unit = bool(kept.v_cols) and all(isinstance(v, (int, np.integer))
+                                     for v in kept.v_cols)
+    retest = not strategy.resolves_inconsistency
+    if retest and not unit and REDUNDANT in report.eq_status:
+        return solve(a, b, strategy, tol=tol, counter=counter)
+
+    # the arithmetic of solve's steps on the rows that touch x or tau
+    norm_b = float(np.linalg.norm(b))
+    a_ref = float(np.linalg.norm(a))
+    b_list = b.tolist()
+    x = np.zeros(n)
+    steps = zip(kept.p_cols, kept.v_cols, kept.pivots)
+    for i, status in enumerate(report.eq_status):
+        if status == INDEPENDENT:
+            p, v, den = next(steps)
+            if isinstance(v, (int, np.integer)):
+                tau = float(a[i].dot(x)) - b_list[i]
+            else:
+                tau = float(v @ (a @ x - b))
+            alpha = tau / den
+            x -= alpha * p
+        elif retest:
+            y = a[i]
+            tau = float(y.dot(x)) - b_list[i]
+            if not _residual_vanishes(tau, _norm(y), _norm(x),
+                                      abs(b_list[i]), 1.0, a_ref, norm_b,
+                                      res_tol):
+                return solve(a, b, strategy, tol=tol, counter=counter)
+
+    res = float(np.linalg.norm(a @ x - b))
+    counter.add(report.mult_count)
+    state = ProjectorState(h=kept.h, step=kept.step,
+                           p_cols=list(kept.p_cols),
+                           v_cols=list(kept.v_cols),
+                           pivots=list(kept.pivots), matrix=a, rhs=b,
+                           counter=counter)
+    return SolveReport(x=x, rank=report.rank,
+                       eq_status=list(report.eq_status), state=state,
+                       mult_count=counter.mults, residual_norm=res)
+
+
 def _norm(v):
     """``float(np.linalg.norm(v))`` of a 1-D float64 vector, bit for bit.
 
@@ -338,6 +476,14 @@ def _norm(v):
             and v.dtype == np.float64 and v.flags.c_contiguous:
         return math.sqrt(v.dot(v))
     return float(np.linalg.norm(v))
+
+
+def _asymmetry(a):
+    """The largest entry of ``|a - a^T|`` where it exceeds
+    ``1e-10 (1 + max|a|)``, so that ``a`` counts as not symmetric, else
+    0.0."""
+    skew = float(np.abs(a - a.T).max())
+    return skew if skew > 1e-10 * (1.0 + float(np.abs(a).max())) else 0.0
 
 
 # Fewest entries of an update without the -0 fact from which it tests
@@ -616,24 +762,3 @@ def implicit_factorization(report):
 def reconstruct_inverse(p, l, v):
     """Rebuild ``A^{-1} = P L^{-1} V^T`` from the implicit factors."""
     return p @ scipy.linalg.solve_triangular(l, v.T, lower=True)
-
-
-def strongly_nonsingular(q, tol=1e-10):
-    """True when Gaussian elimination without pivoting succeeds on ``q``.
-
-    Equivalently: every leading principal minor is nonzero (within ``tol``
-    relative to the largest entry), which is the admissibility condition for
-    a scaled parameter set.
-    """
-    u = np.array(q, dtype=float)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError("need a square matrix")
-    k = u.shape[0]
-    scale = max(1.0, float(np.abs(u).max())) if u.size else 1.0
-    for j in range(k):
-        if abs(u[j, j]) <= tol * scale:
-            return False
-        factors = u[j + 1:, j] / u[j, j]
-        # row j lies outside the trailing block, so it is read as it is
-        subtract_outer(u[j + 1:, j + 1:], factors, u[j, j + 1:])
-    return True

@@ -16,7 +16,10 @@ Counts are those of the formula a step evaluates, not of the entries the
 code happens to touch: a rank-one update of an n x n projector counts n^2
 multiplies even where it skips rows that are exactly zero (and would come
 out unchanged), and a product reused because it has the same bytes as the
-one the formula names is counted as if formed again.
+one the formula names is counted as if formed again. So is a replayed or
+resumed engine run (:func:`absolve.core.replay`, ``core.solve``'s
+``resume``): it counts the steps that it takes from the kept run as if it
+took them again.
 """
 
 from dataclasses import dataclass

@@ -234,8 +234,7 @@ def limited_memory_solve(a, b, params=None, x_star=None):
     params = params or IterParams()
     scaling = params.scaling
     if scaling == "energy":
-        skew = float(np.abs(a - a.T).max())
-        if skew > 1e-10 * (1.0 + float(np.abs(a).max())):
+        if core._asymmetry(a):
             raise ValueError("energy scaling needs a symmetric matrix")
     max_iter = params.max_iter if params.max_iter is not None else 100 * n
     dep_tol, _, _ = core.Tolerances().resolve(n)

@@ -15,7 +15,12 @@ only the first call counts its multiplies, so the per-call counts expose the
 saving. The solver likewise forms each p-stage's ``p`` and the product
 ``H G`` (which ``a1`` stacks and ``a2`` multiplies by ``H^T``) once and
 reuses them; as ``counting`` states for a product reused because it has the
-same bytes, each call counts them as if formed again.
+same bytes, each call counts them as if formed again. The engine pays for
+each row once: ``a1``'s stacked system starts with the constraint rows, so
+its run continues the constraint run (``core.solve``'s ``resume``) at row
+m, and the ``b1`` run for a second ``p`` replays the first on its new
+right-hand side (:func:`absolve.core.replay`). Both give the bytes and the
+counts of a full run.
 
 Two interchangeable methods finish each unknown block:
 
@@ -124,8 +129,12 @@ class KTSolver:
     product ``H G`` are built on first use too, and reused with the same
     bytes; every report counts them as if formed again, so a report's
     count equals a fresh solver's less ``c_stage_mults`` after the first
-    call. Each report holds its own copy of ``p``. A stage that raises is
-    not kept: the next call runs it again and raises the same
+    call. ``a1`` continues the constraint stage's engine run instead of
+    stepping its rows again, and a ``b1`` call after the first replays
+    the first ``b1`` run on its right-hand side, so the four pairs take
+    four engine runs and one replay; each report's bytes and count are a
+    full run's. Each report holds its own copy of ``p``. A stage that
+    raises is not kept: the next call runs it again and raises the same
     :class:`~absolve.errors.SingularKT`.
     """
 
@@ -137,6 +146,9 @@ class KTSolver:
         self._hg = None
         # p-stage method -> (p, the stage's multiplies)
         self._p_stages = {}
+        # the engine runs that later stages continue or replay
+        self._c_run = None
+        self._b1_run = None
 
     def _constraint_stage(self, counter):
         if self._stage is not None:
@@ -153,6 +165,7 @@ class KTSolver:
             raise SingularKT(
                 f"constraint matrix is rank deficient (rank {rep.rank} of "
                 f"{sys.m})")
+        self._c_run = rep
         p0 = rep.x
         h = rep.state.h
         p_mat = rep.state.p_matrix()
@@ -178,8 +191,11 @@ class KTSolver:
             counter.add(n * n)
             stacked = np.vstack([sys.c_mat, hg])
             rhs = np.concatenate([sys.c, hgvec])
+            # the first m rows are the constraint run's, which the
+            # engine continues rather than steps again
             rep = self._stage_solve(stacked, rhs, counter,
-                                    expect_redundant=m, stage="p-stage a1")
+                                    expect_redundant=m, stage="p-stage a1",
+                                    resume=self._c_run)
             return rep.x, counter.mults
         gp0 = sys.g_mat @ p0
         counter.add(n * n)
@@ -211,9 +227,15 @@ class KTSolver:
         grad_gap = sys.g - sys.g_mat @ p
         counter.add(n * n)
         if z_method == "b1":
-            rep = self._stage_solve(sys.c_mat.T, grad_gap, counter,
+            # C^T is the same for every p: later calls replay the first
+            # run with their right-hand side; each run counts on its own
+            # counter, so that the kept run's count is its own
+            rep = self._stage_solve(sys.c_mat.T, grad_gap, OpCounter(),
                                     expect_redundant=n - m,
-                                    stage="z-stage b1")
+                                    stage="z-stage b1", replay=self._b1_run)
+            if self._b1_run is None:
+                self._b1_run = rep
+            counter.add(rep.mult_count)
             z = rep.x
         else:
             rhs = p_mat.T @ grad_gap
@@ -226,11 +248,18 @@ class KTSolver:
         return KTReport(p=p, z=z, p_method=p_method, z_method=z_method,
                         mult_count=counter.mults, residual_norm=res)
 
-    def _stage_solve(self, a, b, counter, expect_redundant, stage):
+    def _stage_solve(self, a, b, counter, expect_redundant, stage,
+                     resume=None, replay=None):
+        """One stage's engine run of ``a x = b``: continued from
+        ``resume``, or ``replay`` (a run of ``a``) replayed on ``b``."""
+        tol = core.Tolerances(residual=STAGE_RESIDUAL_TOL)
         try:
-            rep = core.solve(a, b, strategy=self.strategy,
-                             tol=core.Tolerances(residual=STAGE_RESIDUAL_TOL),
-                             counter=counter)
+            if replay is not None:
+                rep = core.replay(replay, b, self.strategy, tol=tol,
+                                  counter=counter)
+            else:
+                rep = core.solve(a, b, strategy=self.strategy, tol=tol,
+                                 counter=counter, resume=resume)
         except IncompatibleSystem as exc:
             raise SingularKT(
                 f"{stage}: equation {exc.row} is inconsistent; the "

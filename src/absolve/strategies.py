@@ -46,10 +46,14 @@ class ParameterStrategy:
     ``resolves_inconsistency`` marks strategies whose dependent equations
     never signal incompatibility (the scaled residual of a dependent
     equation vanishes identically, as for orthogonal scalings on
-    least-squares runs).
+    least-squares runs). ``resumable`` marks strategies whose step reads
+    only its own row, its index and the projector, so that a run can
+    continue from a kept run of its leading rows
+    (:func:`absolve.core.solve`'s ``resume``).
     """
 
     resolves_inconsistency = False
+    resumable = False
 
     def initial_h(self, n):
         return np.eye(n)
@@ -105,6 +109,8 @@ class HuangStrategy(ParameterStrategy):
     final solution; the registry also offers it as ``stable``.
     """
 
+    resumable = True
+
     def search_vector(self, i, state, s):
         # p = H^T a_i = H a_i = s up to symmetric round-off
         return s
@@ -124,6 +130,8 @@ class ModifiedHuangStrategy(ParameterStrategy):
     to round-off level, which makes the rank count reliable on nearly
     dependent rows.
     """
+
+    resumable = True
 
     def classify_vector(self, i, state, s, y_norm, h_norm):
         # the step's search vector: the engine tests it, then steps on it
@@ -196,6 +204,8 @@ class ImplicitLUStrategy(ImplicitLXStrategy):
     out of it for free; see :func:`implicit_lu_solve` for the variant that
     also exploits the sparsity for storage.
     """
+
+    resumable = True
 
     def begin(self, a):
         m, n = a.shape
@@ -290,8 +300,8 @@ class ConjugateDirectionStrategy(_CachedSearchStrategy):
         m, n = a.shape
         if m != n:
             raise UnsupportedShape("conjugate directions need a square matrix")
-        skew = float(np.abs(a - a.T).max())
-        if skew > 1e-10 * (1.0 + float(np.abs(a).max())):
+        skew = core._asymmetry(a)
+        if skew:
             raise UnsupportedShape(
                 f"matrix is not symmetric (max asymmetry {skew:.3e})")
 
@@ -316,9 +326,9 @@ class GeneralStrategy(ParameterStrategy):
 
     ``v``, ``z``, ``w`` are matrices whose column i is used at step i; any
     of them may be None to fall back to the default (unit scaling, row
-    seed, w = z). ``h1`` replaces the identity start. Admissibility of a
-    full choice can be checked up front with
-    :func:`absolve.core.strongly_nonsingular` on V^T A H1^T W.
+    seed, w = z). ``h1`` replaces the identity start. An inadmissible
+    choice raises :class:`~absolve.errors.StrategyBreakdown` at its first
+    vanishing pivot.
     """
 
     def __init__(self, v=None, z=None, w=None, h1=None):

@@ -34,8 +34,11 @@ def test_kernel_script_times_every_solver_on_this_checkout():
         "subtract_outer_slice_s"}
     assert set(out["dio"]) == {"bezout_gcd_n16_s", "solve_n8_s",
                                "solve_n12_s", "solve_n16_s", "box_3x5_s"}
-    assert set(out["kt"]) == {"solver_n100_s", "one_shot_n100_s",
-                              "solver_n150_s", "one_shot_n150_s"}
+    assert set(out["kt"]) == {
+        "solver_n100_s", "one_shot_n100_s", "solver_n150_s",
+        "one_shot_n150_s",
+        *(f"stage_{stage}_n{n}_s" for n in (100, 150)
+          for stage in ("constraint", "a1", "b1", "a2", "b1_again"))}
     for section in out.values():
         assert all(isinstance(t, float) and t >= 0.0
                    for t in section.values())

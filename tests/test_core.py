@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from absolve import core
+from absolve import core, strategies
 from absolve.counting import OpCounter
-from absolve.errors import IncompatibleSystem, NotFullRank, StrategyBreakdown
+from absolve.errors import (AbsError, IncompatibleSystem, NotFullRank,
+                            StrategyBreakdown)
 
 import oracles
 
@@ -910,48 +911,6 @@ def test_implicit_factorization_requires_full_rank():
         core.implicit_factorization(rep)
 
 
-def test_strong_nonsingularity_probe():
-    assert core.strongly_nonsingular(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert not core.strongly_nonsingular(np.array([[0.0, 1.0], [1.0, 0.0]]))
-
-
-def _eliminates_without_pivoting(q, tol=1e-10):
-    """The probe's elimination with the unfused numpy update."""
-    u = np.array(q, dtype=float)
-    scale = max(1.0, float(np.abs(u).max())) if u.size else 1.0
-    for j in range(u.shape[0]):
-        if abs(u[j, j]) <= tol * scale:
-            return False
-        factors = u[j + 1:, j] / u[j, j]
-        u[j + 1:, j + 1:] -= np.outer(factors, u[j, j + 1:])
-    return True
-
-
-def test_strong_nonsingularity_verdicts_match_the_unfused_elimination(
-        dgemm_calls):
-    rng = np.random.default_rng(57)
-    probes = [np.array([[2.0, 1.0], [1.0, 2.0]]),
-              np.array([[0.0, 1.0], [1.0, 0.0]]), np.empty((0, 0)),
-              # signed zeros: -0 pivots and a -0 in the trailing block
-              np.array([[-0.0, 1.0], [1.0, 2.0]]),
-              np.array([[1.0, -0.0, 0.0], [-0.0, 1.0, -0.0],
-                        [0.0, -0.0, 1.0]])]
-    for n in (3, 8, 70, 150):
-        a = rng.standard_normal((n, n))
-        probes += [a + n * np.eye(n), a]
-        # a leading minor that vanishes after round-off only
-        sing = a + n * np.eye(n)
-        sing[n // 2, :n // 2 + 1] = sing[0, :n // 2 + 1] \
-            + sing[1, :n // 2 + 1]
-        probes.append(sing)
-    verdicts = [core.strongly_nonsingular(q) for q in probes]
-    assert verdicts == [_eliminates_without_pivoting(q) for q in probes]
-    assert True in verdicts and False in verdicts
-    # the large trailing blocks take the strided dgemm
-    assert any(rows * cols >= core._CHECKED_MIN
-               for cols, rows in dgemm_calls)
-
-
 def test_multiply_count_is_frozen_for_the_smallest_solve():
     # hand count for a 1x1 run with unit scaling: initial reference
     # norm 1 + rhs norm 1 + matrix norm 1; then residual 1, projection 1,
@@ -1022,3 +981,177 @@ def test_package_exports_each_name_once():
     missing = [name for name in absolve.__all__
                if not hasattr(absolve, name)]
     assert missing == []
+
+
+def _registry_system(name, rng, m, n, rank):
+    """(strategy, A) for a registry strategy: a symmetric positive
+    semidefinite n x n matrix of rank ``rank`` for ``cgdir``, at most n
+    Gaussian rows for the implicit LU family, ``m`` rows of rank ``rank``
+    otherwise."""
+    if name == "cgdir":
+        q = rng.standard_normal((n, min(rank, n)))
+        return name, q @ q.T
+    if name == "ilu":
+        return name, rng.standard_normal((min(m, n), n))
+    if name == "gilu":
+        h1 = np.eye(n) + 0.1 * rng.standard_normal((n, n))
+        return (strategies.make_strategy("gilu", h1=h1),
+                rng.standard_normal((min(m, n), n)))
+    rank = min(rank, m, n)
+    return name, rng.standard_normal((m, rank)) \
+        @ rng.standard_normal((rank, n))
+
+
+def _outcome(call):
+    """What a run gives: ``x`` (bytes), ``eq_status``, rank, count,
+    residual and iterates, or the raised error's type, row and text with
+    its partial report's ``eq_status`` and count."""
+    try:
+        rep = call()
+    except AbsError as exc:
+        partial = getattr(exc, "report", None)
+        return (type(exc).__name__, getattr(exc, "row", None), str(exc),
+                None if partial is None
+                else (partial.eq_status, partial.mult_count))
+    iterates = None if rep.iterates is None \
+        else [x.tobytes() for x in rep.iterates]
+    return (rep.x.tobytes(), rep.eq_status, rep.rank, rep.mult_count,
+            rep.residual_norm, iterates)
+
+
+REGISTRY = sorted(strategies._REGISTRY)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(REGISTRY), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 9), st.integers(1, 7), st.integers(1, 7),
+       st.booleans())
+def test_replay_is_the_full_run_on_a_new_right_hand_side(name, seed, m, n,
+                                                         rank, bump):
+    rng = np.random.default_rng(seed)
+    strategy, a = _registry_system(name, rng, m, n, rank)
+    b1 = a @ rng.standard_normal(n)
+    b2 = a @ rng.standard_normal(n)
+    if bump:
+        # a contradiction where the row is dependent
+        b2[rng.integers(len(b2))] += 1.0
+    try:
+        kept = core.solve(a, b1, strategy)
+    except AbsError:
+        return
+    assert _outcome(lambda: core.replay(kept, b2, strategy)) \
+        == _outcome(lambda: core.solve(a, b2, strategy))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(REGISTRY), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 6), st.integers(0, 6), st.integers(1, 7),
+       st.integers(1, 7), st.booleans(), st.booleans())
+def test_resumed_run_is_the_full_run_of_the_stacked_system(
+        name, seed, head, tail, n, rank, bump, keep):
+    rng = np.random.default_rng(seed)
+    strategy, a = _registry_system(name, rng, head + tail, n, rank)
+    b = a @ rng.standard_normal(n)
+    if bump:
+        b[rng.integers(len(b))] += 1.0
+    k = min(head, len(a))
+    try:
+        kept = core.solve(a[:k], b[:k], strategy, keep_iterates=keep)
+    except AbsError:
+        return
+    assert _outcome(lambda: core.solve(a, b, strategy, keep_iterates=keep,
+                                       resume=kept)) \
+        == _outcome(lambda: core.solve(a, b, strategy, keep_iterates=keep))
+
+
+def _spied(strategy):
+    """The strategy, logging the row of each step it is asked to scale."""
+    stepped = []
+    strategy.scaling = lambda i, state: stepped.append(i)
+    return strategy, stepped
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("huang", "stable", "mhuang", "ilu", "gilu")),
+       st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(0, 5),
+       st.integers(0, 3))
+def test_a_resumed_run_does_not_step_the_kept_rows_again(name, seed, head,
+                                                         tail, spare):
+    rng = np.random.default_rng(seed)
+    m, n = head + tail, head + tail + spare
+    a = rng.standard_normal((m, n))
+    b = a @ rng.standard_normal(n)
+    params = {"h1": np.eye(n)} if name == "gilu" else {}
+    kept = core.solve(a[:head], b[:head],
+                      strategies.make_strategy(name, **params))
+    assert kept.rank == head
+    strategy, stepped = _spied(strategies.make_strategy(name, **params))
+    rep = core.solve(a, b, strategy, resume=kept)
+    assert stepped == list(range(head, m))
+    assert _outcome(lambda: rep) == _outcome(
+        lambda: core.solve(a, b, strategies.make_strategy(name, **params)))
+
+
+def test_resume_starts_at_row_zero_where_it_does_not_apply():
+    rng = np.random.default_rng(61)
+    a = rng.standard_normal((6, 4))
+    b = a @ rng.standard_normal(4)
+    other = a.copy()
+    other[1, 2] = np.nextafter(other[1, 2], 9.0)
+    redundant = np.vstack([a[:2], a[:1] * 2.0])
+    kept_runs = [
+        # other rows, or the same rows with another right-hand side
+        ("huang", core.solve(other[:3], b[:3])),
+        ("huang", core.solve(a[:3], b[:3] + 1.0)),
+        # a kept redundant row, which the stacked run would re-decide
+        ("huang", core.solve(redundant, redundant @ np.ones(4))),
+        # strategies whose steps read more than their own row
+        ("ilx", core.solve(a[:3], b[:3], "ilx")),
+        ("iqr", core.solve(a[:3], b[:3], "iqr")),
+    ]
+    for name, kept in kept_runs:
+        want = _outcome(lambda: core.solve(a, b, name))
+        assert _outcome(lambda: core.solve(a, b, name, resume=kept)) == want
+        if name != "iqr":  # iqr's own scaling hook is not spied on
+            strategy, stepped = _spied(strategies.make_strategy(name))
+            core.solve(a, b, strategy, resume=kept)
+            assert stepped == list(range(6))
+
+
+def test_replay_runs_the_engine_where_it_cannot_retest_a_row(monkeypatch):
+    # explicit scalings: the run keeps no v of its redundant row 2
+    a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    v = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 2.0]])
+    strategy = strategies.GeneralStrategy(v=v)
+    kept = core.solve(a, np.array([1.0, 2.0, 3.0]), strategy)
+    assert kept.eq_status[2] == core.REDUNDANT
+    b2 = np.array([2.0, -1.0, 1.0])
+    want = _outcome(lambda: core.solve(a, b2, strategy))
+    runs = []
+    engine = core.solve
+    monkeypatch.setattr(core, "solve", lambda *args, **kw: runs.append(1)
+                        or engine(*args, **kw))
+    assert _outcome(lambda: core.replay(kept, b2, strategy)) == want
+    assert runs == [1]
+    # unit scalings are retested without the engine
+    kept = engine(a, np.array([1.0, 2.0, 3.0]))
+    assert _outcome(lambda: core.replay(kept, b2, "huang")) \
+        == _outcome(lambda: engine(a, b2))
+    assert runs == [1]
+
+
+def test_replay_needs_a_completed_run_and_a_matching_rhs():
+    a = np.array([[1.0, 2.0], [2.0, 4.0]])
+    with pytest.raises(IncompatibleSystem) as exc:
+        core.solve(a, np.array([3.0, 7.0]))
+    with pytest.raises(ValueError, match="no completed run"):
+        core.replay(exc.value.report, np.array([3.0, 6.0]), "huang")
+    kept = core.solve(a, np.array([3.0, 6.0]))
+    with pytest.raises(ValueError, match="rhs length"):
+        core.replay(kept, np.ones(3), "huang")
+    # the contradiction raises as the full run does, with its report
+    with pytest.raises(IncompatibleSystem) as again:
+        core.replay(kept, np.array([3.0, 7.0]), "huang")
+    assert again.value.row == 1
+    assert again.value.report.mult_count == exc.value.report.mult_count
+

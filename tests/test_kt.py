@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from absolve import core, kt, problems
+from absolve import core, kt, problems, strategies
 from absolve.errors import SingularKT
 
 
@@ -127,21 +127,38 @@ def test_four_pairs_run_the_engine_five_times_and_form_hg_once(
         monkeypatch):
     system = generated(40, 12, seed=5).kt_system
     plain = [kt.KTSolver(system).solve(*pair) for pair in PAIRS]
-    runs = []
-    engine = core.solve
-    monkeypatch.setattr(core, "solve",
-                        lambda a, b, **kw: runs.append(a.shape)
-                        or engine(a, b, **kw))
+    runs, stepped = [], []
+    engine, replay = core.solve, core.replay
+
+    def solve(a, b, **kw):
+        stepped.clear()
+        rep = engine(a, b, **kw)
+        runs.append(("solve", a.shape, stepped[0]))
+        return rep
+
+    monkeypatch.setattr(core, "solve", solve)
+    monkeypatch.setattr(core, "replay", lambda rep, b, *args, **kw:
+                        runs.append(("replay", rep.state.matrix.shape))
+                        or replay(rep, b, *args, **kw))
+    scaling = strategies.ParameterStrategy.scaling
+    monkeypatch.setattr(strategies.ParameterStrategy, "scaling",
+                        lambda self, i, state: stepped.append(i)
+                        or scaling(self, i, state))
     monkeypatch.setattr(_RightProductSpy, "products", 0)
     system.g_mat = system.g_mat.view(_RightProductSpy)
     solver = kt.KTSolver(system)
     reports = [solver.solve(*pair) for pair in PAIRS]
-    # the constraint stage, then a1 and a2 once each and b1 once per p
-    assert runs == [(12, 40), (52, 40), (40, 12), (40, 40), (40, 12)]
+    # five engine runs: the constraint stage, a1 resumed at row m, a2, one
+    # b1 run, and that b1 run replayed for the second p
+    assert runs == [("solve", (12, 40), 0), ("solve", (52, 40), 12),
+                    ("solve", (40, 12), 0), ("solve", (40, 40), 0),
+                    ("replay", (40, 12))]
     assert _RightProductSpy.products == 1
     for rep, want in zip(reports, plain):
         assert rep.p.tobytes() == want.p.tobytes()
         assert rep.z.tobytes() == want.z.tobytes()
+        assert rep.mult_count == want.mult_count - (
+            solver.c_stage_mults if rep is not reports[0] else 0)
 
 
 @pytest.mark.parametrize("pair", PAIRS)

@@ -35,7 +35,11 @@ its ``environment`` record, and leaves the others as they are.
   each at n=8, 12 and 16, and ``solutions_in_box`` on a 3x5 system at
   radius 3. Under the key ``kt`` it times, on the generated KT systems
   with n=100 and 150, one ``KTSolver`` running the four stage pairs and
-  the four one-shot ``kt.solve`` calls. The runs are in fresh
+  the four one-shot ``kt.solve`` calls, and each engine run inside the
+  solver's four pairs, in the order they run (``KT_STAGES``: the
+  constraint stage, ``a1``, the first ``b1``, ``a2`` and the second
+  ``b1``), by wrapping ``core.solve``, and ``core.replay`` where the
+  checkout has it. The runs are in fresh
   interpreters that alternate between the checkouts; each figure is the
   fastest of a few repeats after a warm-up call. Besides each side's
   median, fastest and slowest process, the summary records under
@@ -131,11 +135,38 @@ box = diophantine.solve([[-2, 1, -1, 2, 2], [1, 0, -1, -2, 0],
 dio["box_3x5_s"] = best_of(lambda: diophantine.solutions_in_box(box, 3))
 
 pairs = [(p, z) for p in kt.P_METHODS for z in kt.Z_METHODS]
+# the engine runs of one solver's four pairs, in the order they run
+KT_STAGES = ("constraint", "a1", "b1", "a2", "b1_again")
 
 
 def kt_solver_pairs(system):
     solver = kt.KTSolver(system)
     return [solver.solve(*pair) for pair in pairs]
+
+
+# the seconds of each engine run of one solver's four pairs
+def kt_stage_seconds(system):
+    seconds = []
+
+    def timed(engine):
+        def call(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return engine(*args, **kwargs)
+            finally:
+                seconds.append(time.perf_counter() - t0)
+        return call
+
+    engines = {name: getattr(core, name) for name in ("solve", "replay")
+               if hasattr(core, name)}
+    for name, engine in engines.items():
+        setattr(core, name, timed(engine))
+    try:
+        kt_solver_pairs(system)
+    finally:
+        for name, engine in engines.items():
+            setattr(core, name, engine)
+    return seconds
 
 
 out["kt"] = {}
@@ -145,6 +176,11 @@ for n in (100, 150):
     out["kt"][f"solver_n{n}_s"] = best_of(lambda: kt_solver_pairs(system))
     out["kt"][f"one_shot_n{n}_s"] = best_of(
         lambda: [kt.solve(system, *pair) for pair in pairs])
+    # a warm-up, then the fastest of each run over the repeats
+    stages = [kt_stage_seconds(system)
+              for _ in range(int(sys.argv[3]) + 1)][1:]
+    for k, stage in enumerate(KT_STAGES):
+        out["kt"][f"stage_{stage}_n{n}_s"] = min(run[k] for run in stages)
 print(json.dumps(out))
 """
 
