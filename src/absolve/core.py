@@ -22,6 +22,15 @@ run annihilates every processed scaled row from the right and every accepted
 pivots ``v_i^T A p_i`` give the implicit factorization ``V^T A P = L`` with
 ``L`` lower triangular.
 
+Each independent row lowers the rank of ``H`` by one, so after n of them
+``H`` is zero in exact arithmetic and every later row is dependent. Once a
+run holds n pivots with rows still to come, it computes ``|H|_F`` once; if
+``2 |H|_F <= min(1, dep_tol |H_1|_F)``, every later dependency test would
+read "dependent" (see :func:`_spent`), and the later rows skip ``s = H y``
+and the test. Only the residual test decides such a row, and a strategy
+that resolves inconsistency skips the row's scaling too. The run's
+verdicts, bytes and counts stay those of the full steps.
+
 Row indices in reports and exceptions are 0-based.
 
 Multiplication counts are exact: every scalar multiply or divide the loop
@@ -200,6 +209,14 @@ def solve(a, b, strategy="huang", x1=None, tol=None, keep_iterates=False,
         own counter (the default), so that its ``mult_count`` is its
         own: the kept rows are counted as if stepped again.
 
+    Once the run holds n pivots with rows still to come, including a run
+    resumed from a kept run of n rows, it checks whether the projector is
+    spent (see the module docstring). If it is, each later row skips
+    ``s = H y`` and the strategy's dependency test, and counts what the
+    first row after the check, stepped in full, counted; a row whose test
+    would read magnitudes outside ``[1e-150, 1e150]`` (an inf or a NaN
+    among them) is stepped in full. The report is the same either way.
+
     Returns
     -------
     SolveReport
@@ -260,6 +277,13 @@ def solve(a, b, strategy="huang", x1=None, tol=None, keep_iterates=False,
     # the scalar dispatch (as is ``u.dot(v)`` for ``u @ v`` on vectors)
     b_list = b.tolist()
 
+    # Once the projector is spent (n pivots and a small |H|_F, see
+    # _spent), the rows after it skip the projection and the dependency
+    # test, and each adds ``cost``: what the first row after the proof,
+    # stepped in full, added to the counter from ``mark`` on.
+    spent = len(state.pivots) >= n and start < m \
+        and _spent(state.h, dep_tol, h_ref)
+    cost, mark = 0, counter.mults
     # The run changes h only through rank-one updates, which create no
     # -0.0 in a matrix that holds none, so one scan of the start
     # projector gives the -0 fact of every update.
@@ -269,7 +293,19 @@ def solve(a, b, strategy="huang", x1=None, tol=None, keep_iterates=False,
     done = 0
     try:
         for i in range(start, m):
+            if cost and resolved and _TINY <= _norm(a[i]) <= _HUGE:
+                # dependent on the spent projector, and resolved: its
+                # test reads a_i (the whole step is skipped)
+                counter.add(cost)
+                eq_status.append(REDUNDANT)
+                state.step += 1
+                if keep_iterates:
+                    iterates.append(x.copy())
+                continue
             v = strategy.scaling(i, state)
+            if spent and not cost and not resolved:
+                # a skipped row calls scaling too, which counts itself
+                mark = counter.mults
             if v is None:
                 # unit scaling: the scaled row is row i itself
                 y = a[i]
@@ -287,15 +323,21 @@ def solve(a, b, strategy="huang", x1=None, tol=None, keep_iterates=False,
                 done = 2 * m * n + 2 * m + 1
                 v_rec = v
 
-            s = state.h @ y
             y_norm = _norm(y)
-            done += n * n + n
-
-            test_vec, test_scale = strategy.classify_vector(i, state, s,
-                                                            y_norm, h_ref)
-            done += n
-            test_norm = _norm(test_vec)
-            if test_norm <= dep_tol * test_scale:
+            if cost and not resolved and _TINY <= y_norm <= _HUGE:
+                # dependent on the spent projector: only the residual
+                # test decides, and the row counts ``cost`` in all
+                dependent = True
+                done = cost - n - 1
+            else:
+                s = state.h @ y
+                done += n * n + n
+                test_vec, test_scale = strategy.classify_vector(
+                    i, state, s, y_norm, h_ref)
+                done += n
+                test_norm = _norm(test_vec)
+                dependent = test_norm <= dep_tol * test_scale
+            if dependent:
                 x_norm = _norm(x)
                 done += n
                 if resolved or _residual_vanishes(tau, y_norm, x_norm,
@@ -303,6 +345,8 @@ def solve(a, b, strategy="huang", x1=None, tol=None, keep_iterates=False,
                                                   norm_b, res_tol):
                     counter.add(done + 1)
                     done = 0
+                    if spent and not cost:
+                        cost = counter.mults - mark
                     eq_status.append(REDUNDANT)
                     state.step += 1
                     if keep_iterates:
@@ -343,6 +387,9 @@ def solve(a, b, strategy="huang", x1=None, tol=None, keep_iterates=False,
             eq_status.append(INDEPENDENT)
             if keep_iterates:
                 iterates.append(x.copy())
+            if len(state.pivots) >= n and i + 1 < m:
+                spent = _spent(state.h, dep_tol, h_ref)
+                cost, mark = 0, counter.mults
     except BaseException:
         counter.add(done)
         raise
@@ -361,6 +408,35 @@ def _residual_vanishes(tau, y_norm, x_norm, b_scale, v_norm, a_ref, norm_b,
     :class:`Tolerances`)."""
     scale = y_norm * x_norm + b_scale + v_norm * (a_ref * x_norm + norm_b)
     return abs(tau) <= res_tol * (scale + 1e-300)
+
+
+# Magnitudes between which the squares and products of a dependency test
+# neither overflow nor underflow.
+_TINY, _HUGE = 1e-150, 1e150
+
+
+def _spent(h, dep_tol, h_ref):
+    """Whether every later dependency test on the projector ``h`` reads
+    "dependent": ``2 |H|_F <= min(1, dep_tol * h_ref)``.
+
+    Each strategy tests a vector of norm at most ``|H|_F scale / h_ref``
+    against ``dep_tol * scale`` (the contract of
+    :meth:`absolve.strategies.ParameterStrategy.classify_vector`), so on
+    such an ``h`` its vector stays within half of its bound and the other
+    half absorbs rounding. The proof holds for a row whose test reads
+    magnitudes between ``_TINY`` and ``_HUGE``, which ``solve`` checks
+    row by row (the scaled row's norm, or the row's own for a
+    ``resolves_inconsistency`` strategy); a row outside is stepped in
+    full. An ``h`` that holds an inf or a NaN is not spent.
+    """
+    peak = float(np.abs(h).max())
+    # |H|_F >= peak, so a larger or NaN entry fails; where the squares
+    # underflow, |H|_F <= n peak stands in for the norm
+    if not peak <= 0.5:
+        return False
+    h_norm = float(np.linalg.norm(h)) if peak >= _TINY else len(h) * peak
+    # a NaN bound (0 * inf) fails
+    return 2.0 * h_norm <= 1.0 and 2.0 * h_norm <= dep_tol * h_ref
 
 
 def _resumable_rows(kept, a, b, strategy, keep_iterates):

@@ -19,7 +19,9 @@ out unchanged), and a product reused because it has the same bytes as the
 one the formula names is counted as if formed again. So is a replayed or
 resumed engine run (:func:`absolve.core.replay`, ``core.solve``'s
 ``resume``): it counts the steps that it takes from the kept run as if it
-took them again.
+took them again. And so is a row that ``core.solve`` proves dependent on a
+spent projector without projecting it: it counts the formula that the
+run's first full dependent row after the proof counted.
 """
 
 from dataclasses import dataclass

@@ -71,6 +71,15 @@ class ParameterStrategy:
         ``h_norm`` is the norm of the *initial* projector, not the
         current one: s = H y shrinks with the live projector, so only a
         fixed reference can separate dependent rows from small ones.
+
+        The engine relies on one contract: when ``|H|_F <= 1``, the
+        returned vector's norm is at most ``|H|_F * scale / h_norm``, up
+        to rounding. On a projector with ``2 |H|_F <= min(1, dep_tol *
+        h_norm)`` the test then reads "dependent" whatever the row, so
+        :func:`absolve.core.solve` skips this hook on such a run's later
+        rows (and ``scaling`` too where ``resolves_inconsistency``). Every
+        strategy here keeps it: ``H y`` against ``|y| h_norm``,
+        ``H (H y)`` likewise, and ``H^T a_i`` against ``|a_i| h_norm``.
         """
         return s, y_norm * h_norm
 

@@ -27,7 +27,7 @@ def test_kernel_script_times_every_solver_on_this_checkout():
         capture_output=True, text=True, env=tool.single_thread_env(),
         check=True, timeout=300)
     out = json.loads(proc.stdout)
-    assert set(out) == {"8", "dio", "kt"}
+    assert set(out) == {"8", "dio", "kt", "overdetermined"}
     assert set(out["8"]) == {
         "packed_ilu_s", "engine_ilu_s", "engine_ilx_s", "huang_s",
         "mhuang_s", "iqr_s", "gilu_s", "lapack_s", "subtract_outer_s",
@@ -39,6 +39,9 @@ def test_kernel_script_times_every_solver_on_this_checkout():
         "one_shot_n150_s",
         *(f"stage_{stage}_n{n}_s" for n in (100, 150)
           for stage in ("constraint", "a1", "b1", "a2", "b1_again"))}
+    assert set(out["overdetermined"]) == {
+        f"{name}_n{n}_s" for n in (100, 200)
+        for name in ("huang", "mhuang", "iqr")}
     for section in out.values():
         assert all(isinstance(t, float) and t >= 0.0
                    for t in section.values())

@@ -4,6 +4,7 @@ import ctypes
 import sys
 import threading
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1003,9 +1004,9 @@ def _registry_system(name, rng, m, n, rank):
 
 
 def _outcome(call):
-    """What a run gives: ``x`` (bytes), ``eq_status``, rank, count,
-    residual and iterates, or the raised error's type, row and text with
-    its partial report's ``eq_status`` and count."""
+    """What a run gives: ``x``, ``eq_status``, rank, count, residual and
+    iterates, the floats as their bytes, or the raised error's type, row
+    and text with its partial report's ``eq_status`` and count."""
     try:
         rep = call()
     except AbsError as exc:
@@ -1016,7 +1017,7 @@ def _outcome(call):
     iterates = None if rep.iterates is None \
         else [x.tobytes() for x in rep.iterates]
     return (rep.x.tobytes(), rep.eq_status, rep.rank, rep.mult_count,
-            rep.residual_norm, iterates)
+            np.float64(rep.residual_norm).tobytes(), iterates)
 
 
 REGISTRY = sorted(strategies._REGISTRY)
@@ -1065,10 +1066,13 @@ def test_resumed_run_is_the_full_run_of_the_stacked_system(
 
 
 def _spied(strategy):
-    """The strategy, logging the row of each step it is asked to scale."""
-    stepped = []
-    strategy.scaling = lambda i, state: stepped.append(i)
-    return strategy, stepped
+    """The strategy, logging the rows it is asked to scale and to test."""
+    scaled, tested = [], []
+    scaling, classify = strategy.scaling, strategy.classify_vector
+    strategy.scaling = lambda i, state: scaled.append(i) or scaling(i, state)
+    strategy.classify_vector = \
+        lambda i, *args: tested.append(i) or classify(i, *args)
+    return strategy, scaled, tested
 
 
 @settings(max_examples=60, deadline=None)
@@ -1085,7 +1089,7 @@ def test_a_resumed_run_does_not_step_the_kept_rows_again(name, seed, head,
     kept = core.solve(a[:head], b[:head],
                       strategies.make_strategy(name, **params))
     assert kept.rank == head
-    strategy, stepped = _spied(strategies.make_strategy(name, **params))
+    strategy, stepped, _ = _spied(strategies.make_strategy(name, **params))
     rep = core.solve(a, b, strategy, resume=kept)
     assert stepped == list(range(head, m))
     assert _outcome(lambda: rep) == _outcome(
@@ -1112,8 +1116,8 @@ def test_resume_starts_at_row_zero_where_it_does_not_apply():
     for name, kept in kept_runs:
         want = _outcome(lambda: core.solve(a, b, name))
         assert _outcome(lambda: core.solve(a, b, name, resume=kept)) == want
-        if name != "iqr":  # iqr's own scaling hook is not spied on
-            strategy, stepped = _spied(strategies.make_strategy(name))
+        if name != "iqr":  # iqr skips the scaling of a proven row
+            strategy, stepped, _ = _spied(strategies.make_strategy(name))
             core.solve(a, b, strategy, resume=kept)
             assert stepped == list(range(6))
 
@@ -1155,3 +1159,147 @@ def test_replay_needs_a_completed_run_and_a_matching_rhs():
     assert again.value.row == 1
     assert again.value.report.mult_count == exc.value.report.mult_count
 
+
+class _CountedScaling(strategies.HuangStrategy):
+    """Huang's choice with a scaling hook that counts a multiply."""
+
+    def scaling(self, i, state):
+        state.counter.add(1)
+
+
+def _tall_strategy(name, rng, m, n):
+    """A registry strategy by name, ``GeneralStrategy`` with explicit
+    scalings (``"general-v"``) or with a start projector
+    (``"general-h1"``), or ``_CountedScaling`` (``"counted-scaling"``)."""
+    if name == "counted-scaling":
+        return _CountedScaling()
+    if name == "general-v":
+        return strategies.GeneralStrategy(
+            v=np.eye(m) + 0.1 * rng.standard_normal((m, m)))
+    h1 = np.eye(n) + 0.1 * rng.standard_normal((n, n))
+    if name == "general-h1":
+        return strategies.GeneralStrategy(h1=h1)
+    return strategies.make_strategy(name, **({"h1": h1} if name == "gilu"
+                                              else {}))
+
+
+SPENT_NAMES = REGISTRY + ["general-v", "general-h1", "counted-scaling"]
+
+
+def _with_and_without_the_proof(name, seed, n, k, plant, keep, tol):
+    """The outcomes of a run on a consistent (n + k) x n system with
+    ``plant`` in one of its rows after the n-th, with the spent-projector
+    proof and with the proof switched off."""
+    rng = np.random.default_rng(seed)
+    m = n + k
+    a = rng.standard_normal((m, n))
+    b = a @ rng.standard_normal(n)
+    row = n + int(rng.integers(k))
+    if plant == "contradiction":
+        b[row] += 1.0
+    elif plant in ("zero", "tiny", "huge"):
+        # the row's squares are 0, underflow, or overflow
+        scale = {"zero": 0.0, "tiny": 1e-170, "huge": 1e200}[plant]
+        a[row] *= scale
+        b[row] *= scale
+    elif plant in ("inf", "nan"):
+        a[row, rng.integers(n)] = float(plant)
+    strategy = _tall_strategy(name, rng, m, n)
+
+    def outcome():
+        try:
+            return _outcome(lambda: core.solve(a, b, strategy, tol=tol,
+                                               keep_iterates=keep))
+        except ZeroDivisionError as exc:
+            # a zero pivot that a NaN bound (0 * inf) let through
+            return type(exc).__name__, str(exc)
+
+    with_proof = outcome()
+    with mock.patch.object(core, "_spent", lambda *args: False):
+        return with_proof, outcome()
+
+
+TOLERANCES = (None, core.Tolerances(dependency=0.0),
+              core.Tolerances(dependency=1e-6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SPENT_NAMES), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 8), st.integers(1, 6),
+       st.sampled_from((None, "contradiction", "zero", "tiny")),
+       st.booleans(), st.sampled_from(TOLERANCES))
+def test_a_spent_projector_gives_the_full_runs_outcome(name, seed, n, k,
+                                                       plant, keep, tol):
+    with_proof, without = _with_and_without_the_proof(name, seed, n, k,
+                                                      plant, keep, tol)
+    assert with_proof == without
+
+
+# the warnings that the full run emits on these rows
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SPENT_NAMES), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 8), st.integers(1, 6),
+       st.sampled_from(("inf", "nan", "huge")), st.booleans(),
+       st.sampled_from(TOLERANCES))
+def test_a_spent_projector_steps_nonfinite_rows_as_the_full_run_does(
+        name, seed, n, k, plant, keep, tol):
+    with_proof, without = _with_and_without_the_proof(name, seed, n, k,
+                                                      plant, keep, tol)
+    assert with_proof == without
+
+
+@pytest.mark.parametrize("name", ["huang", "stable", "mhuang", "ilx", "iqr",
+                                  "general-v", "general-h1"])
+def test_rows_after_the_first_proven_row_skip_the_test(name):
+    rng = np.random.default_rng(17)
+    m, n = 12, 5
+    a = rng.standard_normal((m, n))
+    b = a @ rng.standard_normal(n)
+    strategy, scaled, tested = _spied(_tall_strategy(name, rng, m, n))
+    rep = core.solve(a, b, strategy)
+    assert rep.eq_status == [core.INDEPENDENT] * n + [core.REDUNDANT] * (m - n)
+    # row n, the first after the n-th pivot, is stepped in full
+    assert tested == list(range(n + 1))
+    assert scaled == list(range(n + 1 if name == "iqr" else m))
+
+
+@pytest.mark.parametrize("name", ["huang", "stable", "mhuang"])
+def test_a_run_resumed_at_n_pivots_skips_as_the_full_run_does(name):
+    rng = np.random.default_rng(18)
+    m, n = 12, 5
+    a = rng.standard_normal((m, n))
+    b = a @ rng.standard_normal(n)
+    kept = core.solve(a[:n], b[:n], name)
+    strategy, scaled, tested = _spied(strategies.make_strategy(name))
+    rep = core.solve(a, b, strategy, resume=kept)
+    assert scaled == list(range(n, m))
+    assert tested == [n]
+    assert _outcome(lambda: rep) == _outcome(lambda: core.solve(a, b, name))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(REGISTRY), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 8), st.floats(-14.0, 0.0), st.integers(-20, 20))
+def test_classify_vectors_keep_the_contract_of_a_spent_projector(
+        name, seed, n, log_h, log_a):
+    # |vector| <= |H|_F scale / h_norm for |H|_F <= 1, within the factor
+    # 2 that the engine's proof leaves for rounding
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((n, n))
+    # square and symmetric, so that every strategy takes it
+    a = (q + q.T) * 10.0 ** log_a
+    h = rng.standard_normal((n, n))
+    h *= 10.0 ** log_h / np.linalg.norm(h)
+    h_fro = float(np.linalg.norm(h))
+    strategy = strategies.make_strategy(
+        name, **({"h1": np.eye(n)} if name == "gilu" else {}))
+    strategy.begin(a)
+    state = core.ProjectorState(h=h, matrix=a, rhs=np.zeros(n))
+    h_norm = float(rng.uniform(0.5, 2.0 * np.sqrt(n)))
+    for i in range(n):
+        v = strategy.scaling(i, state)
+        y = a[i] if v is None else a.T @ v
+        vec, scale = strategy.classify_vector(i, state, h @ y, core._norm(y),
+                                              h_norm)
+        assert np.linalg.norm(vec) <= 2.0 * h_fro * scale / h_norm

@@ -39,7 +39,10 @@ its ``environment`` record, and leaves the others as they are.
   solver's four pairs, in the order they run (``KT_STAGES``: the
   constraint stage, ``a1``, the first ``b1``, ``a2`` and the second
   ``b1``), by wrapping ``core.solve``, and ``core.replay`` where the
-  checkout has it. The runs are in fresh
+  checkout has it. Under the key ``overdetermined`` it times the
+  engine's ``huang``, ``mhuang`` and ``iqr`` on the generated
+  overdetermined systems with n=100 and 200 (2n x n), whose second n
+  rows come after the n-th pivot. The runs are in fresh
   interpreters that alternate between the checkouts; each figure is the
   fastest of a few repeats after a warm-up call. Besides each side's
   median, fastest and slowest process, the summary records under
@@ -181,6 +184,15 @@ for n in (100, 150):
               for _ in range(int(sys.argv[3]) + 1)][1:]
     for k, stage in enumerate(KT_STAGES):
         out["kt"][f"stage_{stage}_n{n}_s"] = min(run[k] for run in stages)
+
+# 2n x n systems: rows n..2n-1 come after the n-th pivot
+over = out["overdetermined"] = {}
+for n in (100, 200):
+    p = problems.generate(problems.ProblemSpec(kind="overdetermined", n=n,
+                                               seed=n))
+    for name in ("huang", "mhuang", "iqr"):
+        over[f"{name}_n{n}_s"] = best_of(
+            lambda: core.solve(p.a, p.b, strategy=name))
 print(json.dumps(out))
 """
 
