@@ -107,7 +107,6 @@ class ProjectorState:
     v_cols: list = field(default_factory=list)
     pivots: list = field(default_factory=list)
     matrix: np.ndarray | None = None
-    rhs: np.ndarray | None = None
     counter: OpCounter = field(default_factory=OpCounter)
 
     @property
@@ -195,19 +194,27 @@ def solve(a, b, strategy="huang", x1=None, tol=None, keep_iterates=False,
     counter : OpCounter, optional
         Accumulate multiply counts into an existing counter.
     resume : SolveReport, optional
-        A kept, completed run of this function on the leading rows of
-        this system. The run continues from a copy of its projector and
-        iterate instead of stepping those rows again, when the kept rows
-        and right-hand side have the bytes of this system's first rows,
-        every kept row is independent under a unit scaling, and the
-        strategy is ``resumable`` (its step reads only its own row, its
-        index and the projector: ``huang``/``stable``, ``mhuang``,
-        ``ilu``, ``gilu``). Otherwise the run starts at row 0. Either way
-        the report is the full run's, bytes, ``eq_status`` and count,
-        provided the kept run was made with the same strategy, start
-        ``x1`` and dependency and pivot tolerances, and counted on its
-        own counter (the default), so that its ``mult_count`` is its
-        own: the kept rows are counted as if stepped again.
+        A kept, completed run of this function on the leading ``k`` rows
+        of this system, any right-hand side and start. The projector,
+        the search vectors and the pivots of a run depend only on the
+        rows, the strategy and the tolerances; ``b`` and ``x1`` enter
+        through ``tau``, the step and the residual test of a dependent
+        row. So where the kept matrix has the bytes and the strides of
+        this system's first ``k`` rows, the run steps ``x`` along the
+        kept search vectors with the kept pivots, retests each kept
+        redundant row on this ``b``, and continues at row ``k`` from a
+        copy of the kept projector (the projector itself when
+        ``k == m``). Rows after ``k`` need a ``resumable`` strategy (its
+        step reads only its own row, its index and the projector:
+        ``huang``/``stable``, ``mhuang``, ``ilu``, ``gilu``) and unit
+        scalings; ``k == m`` takes any strategy, but a kept redundant
+        row that needs a retest needs a unit scaling. Otherwise, or where
+        a retest fails, the run starts at row 0. Either way the report
+        is the full run's, bytes, ``eq_status``, raised row and count,
+        provided the kept run was made with the same strategy and
+        tolerances and counted on its own counter (the default), so that
+        its ``mult_count`` is its own: the kept rows are counted as if
+        stepped again.
 
     Once the run holds n pivots with rows still to come, including a run
     resumed from a kept run of n rows, it checks whether the projector is
@@ -241,8 +248,7 @@ def solve(a, b, strategy="huang", x1=None, tol=None, keep_iterates=False,
     x = np.zeros(n) if x1 is None else np.array(x1, dtype=float)
     if x.shape != (n,):
         raise ValueError("x1 length must equal the column count")
-    state = ProjectorState(h=strategy.initial_h(n), matrix=a, rhs=b,
-                           counter=counter)
+    state = ProjectorState(h=strategy.initial_h(n), matrix=a, counter=counter)
     strategy.begin(a)
 
     # dependency tests compare against the initial projector's magnitude:
@@ -255,28 +261,30 @@ def solve(a, b, strategy="huang", x1=None, tol=None, keep_iterates=False,
     # noise against noise would turn it into a false contradiction
     a_ref = float(np.linalg.norm(a))
     counter.add(n * n + m + m * n)
-    eq_status = []
-    iterates = [x.copy()] if keep_iterates else None
-    start = _resumable_rows(resume, a, b, strategy, keep_iterates)
-    if start:
-        # the kept rows' steps, counted as if taken again: the kept count
-        # less its run's setup and final residual
-        counter.add(resume.mult_count - n * n - 2 * start - 2 * start * n)
-        kept = resume.state
-        state.h = kept.h.copy()
-        state.step = start
-        state.p_cols = list(kept.p_cols)
-        state.v_cols = list(kept.v_cols)
-        state.pivots = list(kept.pivots)
-        x = resume.x.copy()
-        eq_status = list(resume.eq_status)
-        if keep_iterates:
-            iterates = [it.copy() for it in resume.iterates]
     resolved = strategy.resolves_inconsistency
     # Python floats: the same IEEE arithmetic as numpy scalars, without
     # the scalar dispatch (as is ``u.dot(v)`` for ``u @ v`` on vectors)
     b_list = b.tolist()
-
+    eq_status = []
+    iterates = [x.copy()] if keep_iterates else None
+    taken = _kept_rows(resume, a, b, b_list, x, strategy, a_ref, norm_b,
+                       res_tol, keep_iterates)
+    start = 0
+    if taken is not None:
+        x, kept_iterates = taken
+        kept = resume.state
+        start = len(resume.eq_status)
+        # the kept rows' steps, counted as if taken again: the kept count
+        # less its run's setup and final residual
+        counter.add(resume.mult_count - n * n - 2 * start - 2 * start * n)
+        state.h = kept.h if start == m else kept.h.copy()
+        state.step = start
+        state.p_cols = list(kept.p_cols)
+        state.v_cols = list(kept.v_cols)
+        state.pivots = list(kept.pivots)
+        eq_status = list(resume.eq_status)
+        if keep_iterates:
+            iterates += kept_iterates
     # Once the projector is spent (n pivots and a small |H|_F, see
     # _spent), the rows after it skip the projection and the dependency
     # test, and each adds ``cost``: what the first row after the proof,
@@ -369,7 +377,7 @@ def solve(a, b, strategy="huang", x1=None, tol=None, keep_iterates=False,
             p_norm = test_norm if p is test_vec else _norm(p)
             done += 2 * n
             strategy.validate_pivot(i, den, y_norm * p_norm, piv_tol)
-            if abs(den) <= piv_tol * y_norm * p_norm:
+            if _pivot_vanishes(den, piv_tol * y_norm * p_norm):
                 raise StrategyBreakdown(i, detail=f"pivot {den:.3e}")
 
             alpha = tau / den
@@ -410,6 +418,14 @@ def _residual_vanishes(tau, y_norm, x_norm, b_scale, v_norm, a_ref, norm_b,
     return abs(tau) <= res_tol * (scale + 1e-300)
 
 
+def _pivot_vanishes(den, bound):
+    """The pivot test of a step: ``|den| <= bound``, and an exact zero
+    whatever the bound, so that a NaN bound (``0 * inf``, from a row or a
+    search vector whose norm overflows) cannot let a zero pivot through to
+    the division."""
+    return den == 0.0 or abs(den) <= bound
+
+
 # Magnitudes between which the squares and products of a dependency test
 # neither overflow nor underflow.
 _TINY, _HUGE = 1e-150, 1e150
@@ -439,78 +455,36 @@ def _spent(h, dep_tol, h_ref):
     return 2.0 * h_norm <= 1.0 and 2.0 * h_norm <= dep_tol * h_ref
 
 
-def _resumable_rows(kept, a, b, strategy, keep_iterates):
-    """How many leading rows of ``(a, b)`` a run can take from ``kept``:
-    all of the kept run's rows where ``solve``'s ``resume`` applies,
-    else 0."""
-    if kept is None or not strategy.resumable or kept.x is None:
-        return 0
+def _kept_rows(kept, a, b, b_list, x, strategy, a_ref, norm_b, res_tol,
+               keep_iterates):
+    """Where ``solve``'s ``resume`` applies, the iterate after the rows of
+    the kept run ``kept``, stepped from ``x`` along the kept search
+    vectors with the kept pivots and ``tau`` from this ``b``, and the
+    iterates after each row (``None`` unless ``keep_iterates``). ``None``
+    where it does not apply, or where a kept redundant row fails its
+    residual test on this ``b``: the run then starts at row 0."""
+    if kept is None or kept.x is None or kept.state.h is None:
+        return None
     state = kept.state
-    k = len(kept.eq_status)
-    ka, kb = state.matrix, state.rhs
-    n = a.shape[1]
-    if not 0 < k <= a.shape[0] or len(state.pivots) != k \
-            or state.h is None or ka.shape != (k, n) \
-            or ka.strides[1] != a.strides[1] \
-            or (keep_iterates and kept.iterates is None):
-        return 0
-    if not all(isinstance(v, (int, np.integer)) for v in state.v_cols):
-        return 0
-    # the kept rows must be these rows, bit for bit
-    if a[:k].tobytes() != ka.tobytes() or b[:k].tobytes() != kb.tobytes():
-        return 0
-    return k
-
-
-def replay(report, b, strategy, tol=None, counter=None):
-    """Solve the system of a kept, completed :func:`solve` run for a new
-    right-hand side.
-
-    The projector, the search vectors, the scalings and the pivots of a
-    run do not depend on ``b``; only the iterate, ``tau`` and the
-    residual test do. The replay steps ``x`` from zero along the run's
-    ``p_cols`` with its ``pivots``, recomputes ``tau`` from ``b``, and
-    recomputes the residual test of each redundant row (under the unit
-    scaling that every kept independent row had). The report equals
-    ``solve(A, b, strategy, tol=tol)``'s in ``x`` and its bytes,
-    ``eq_status``, rank and count, provided ``strategy`` and the
-    tolerances are the kept run's and the kept run counted on its own
-    counter (the default), so that its ``mult_count`` is its own: the
-    replay counts the run as if formed again. Its state shares the kept
-    run's projector and search vectors.
-
-    Where a redundant row fails its residual test, or is to be tested
-    under a scaling the run did not keep, the full engine runs instead,
-    and raises :class:`~absolve.errors.IncompatibleSystem` at the row and
-    with the partial report and count that it would anyway.
-    """
-    if report.x is None:
-        raise ValueError("no completed run to replay: the kept run was "
-                         "incompatible")
-    a = report.state.matrix
-    b = np.asarray(b, dtype=float)
-    m, n = a.shape
-    if b.shape != (m,):
-        raise ValueError("rhs length must equal the row count")
-    if isinstance(strategy, str):
-        from .strategies import make_strategy
-        strategy = make_strategy(strategy)
-    _, res_tol, _ = (tol or Tolerances()).resolve(n)
-    counter = counter if counter is not None else OpCounter()
-    kept = report.state
-    unit = bool(kept.v_cols) and all(isinstance(v, (int, np.integer))
-                                     for v in kept.v_cols)
+    k, m = len(kept.eq_status), a.shape[0]
+    ka = state.matrix
+    # the kept rows must be these rows, bit for bit and in their layout
+    if not 0 < k <= m or ka.shape != (k, a.shape[1]) \
+            or ka.strides != a.strides or ka.tobytes() != a[:k].tobytes():
+        return None
+    # a run keeps no scaling of a redundant row: it is retested under a
+    # unit one, where every kept independent row had a unit scaling
+    unit = bool(state.v_cols) and all(isinstance(v, (int, np.integer))
+                                      for v in state.v_cols)
     retest = not strategy.resolves_inconsistency
-    if retest and not unit and REDUNDANT in report.eq_status:
-        return solve(a, b, strategy, tol=tol, counter=counter)
-
-    # the arithmetic of solve's steps on the rows that touch x or tau
-    norm_b = float(np.linalg.norm(b))
-    a_ref = float(np.linalg.norm(a))
-    b_list = b.tolist()
-    x = np.zeros(n)
-    steps = zip(kept.p_cols, kept.v_cols, kept.pivots)
-    for i, status in enumerate(report.eq_status):
+    if (k < m and not (strategy.resumable and unit)) \
+            or (retest and not unit and REDUNDANT in kept.eq_status):
+        return None
+    x = x.copy()
+    iterates = [] if keep_iterates else None
+    # the arithmetic of the engine's steps on the rows that touch x or tau
+    steps = zip(state.p_cols, state.v_cols, state.pivots)
+    for i, status in enumerate(kept.eq_status):
         if status == INDEPENDENT:
             p, v, den = next(steps)
             if isinstance(v, (int, np.integer)):
@@ -525,18 +499,10 @@ def replay(report, b, strategy, tol=None, counter=None):
             if not _residual_vanishes(tau, _norm(y), _norm(x),
                                       abs(b_list[i]), 1.0, a_ref, norm_b,
                                       res_tol):
-                return solve(a, b, strategy, tol=tol, counter=counter)
-
-    res = float(np.linalg.norm(a @ x - b))
-    counter.add(report.mult_count)
-    state = ProjectorState(h=kept.h, step=kept.step,
-                           p_cols=list(kept.p_cols),
-                           v_cols=list(kept.v_cols),
-                           pivots=list(kept.pivots), matrix=a, rhs=b,
-                           counter=counter)
-    return SolveReport(x=x, rank=report.rank,
-                       eq_status=list(report.eq_status), state=state,
-                       mult_count=counter.mults, residual_norm=res)
+                return None
+        if keep_iterates:
+            iterates.append(x.copy())
+    return x, iterates
 
 
 def _norm(v):

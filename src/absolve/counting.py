@@ -16,12 +16,13 @@ Counts are those of the formula a step evaluates, not of the entries the
 code happens to touch: a rank-one update of an n x n projector counts n^2
 multiplies even where it skips rows that are exactly zero (and would come
 out unchanged), and a product reused because it has the same bytes as the
-one the formula names is counted as if formed again. So is a replayed or
-resumed engine run (:func:`absolve.core.replay`, ``core.solve``'s
-``resume``): it counts the steps that it takes from the kept run as if it
-took them again. And so is a row that ``core.solve`` proves dependent on a
-spent projector without projecting it: it counts the formula that the
-run's first full dependent row after the proof counted.
+one the formula names is counted as if formed again. So is an engine run
+resumed from a kept run (``core.solve``'s ``resume``): it counts the rows
+that it takes from the kept run as if it stepped them again, whatever it
+recomputes of them for its own right-hand side. And so is a row that
+``core.solve`` proves dependent on a spent projector without projecting
+it: it counts the formula that the run's first full dependent row after
+the proof counted.
 """
 
 from dataclasses import dataclass

@@ -188,8 +188,7 @@ def recursive_solve(a, b, x1=None, v=None, z=None, h1=None, tol=None,
     state = core.ProjectorState(h=None, step=m, p_cols=dirs,
                                 v_cols=list(range(m)) if v is None
                                 else [v[:, k] for k in range(m)],
-                                pivots=pivots, matrix=a, rhs=b,
-                                counter=counter)
+                                pivots=pivots, matrix=a, counter=counter)
     return core.SolveReport(x=x, rank=m, eq_status=[core.INDEPENDENT] * m,
                             state=state, mult_count=counter.mults,
                             residual_norm=res, iterates=iterates)

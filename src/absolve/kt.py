@@ -16,11 +16,10 @@ saving. The solver likewise forms each p-stage's ``p`` and the product
 ``H G`` (which ``a1`` stacks and ``a2`` multiplies by ``H^T``) once and
 reuses them; as ``counting`` states for a product reused because it has the
 same bytes, each call counts them as if formed again. The engine pays for
-each row once: ``a1``'s stacked system starts with the constraint rows, so
-its run continues the constraint run (``core.solve``'s ``resume``) at row
-m, and the ``b1`` run for a second ``p`` replays the first on its new
-right-hand side (:func:`absolve.core.replay`). Both give the bytes and the
-counts of a full run.
+each row once, through ``core.solve``'s ``resume``: ``a1``'s stacked system
+starts with the constraint rows, so its run continues the constraint run at
+row m, and the ``b1`` run for a second ``p`` takes every row of the first
+one and steps no row. Both give the bytes and the counts of a full run.
 
 Two interchangeable methods finish each unknown block:
 
@@ -129,13 +128,13 @@ class KTSolver:
     product ``H G`` are built on first use too, and reused with the same
     bytes; every report counts them as if formed again, so a report's
     count equals a fresh solver's less ``c_stage_mults`` after the first
-    call. ``a1`` continues the constraint stage's engine run instead of
-    stepping its rows again, and a ``b1`` call after the first replays
+    call. ``a1`` resumes the constraint stage's engine run instead of
+    stepping its rows again, and a ``b1`` call after the first resumes
     the first ``b1`` run on its right-hand side, so the four pairs take
-    four engine runs and one replay; each report's bytes and count are a
-    full run's. Each report holds its own copy of ``p``. A stage that
-    raises is not kept: the next call runs it again and raises the same
-    :class:`~absolve.errors.SingularKT`.
+    five engine runs, the last of which steps no row; each report's
+    bytes and count are a full run's. Each report holds its own copy of
+    ``p``. A stage that raises is not kept: the next call runs it again
+    and raises the same :class:`~absolve.errors.SingularKT`.
     """
 
     def __init__(self, system, strategy="huang"):
@@ -146,7 +145,7 @@ class KTSolver:
         self._hg = None
         # p-stage method -> (p, the stage's multiplies)
         self._p_stages = {}
-        # the engine runs that later stages continue or replay
+        # the engine runs that later stages resume
         self._c_run = None
         self._b1_run = None
 
@@ -227,12 +226,12 @@ class KTSolver:
         grad_gap = sys.g - sys.g_mat @ p
         counter.add(n * n)
         if z_method == "b1":
-            # C^T is the same for every p: later calls replay the first
-            # run with their right-hand side; each run counts on its own
+            # C^T is the same for every p: later calls resume the first
+            # run on their right-hand side; each run counts on its own
             # counter, so that the kept run's count is its own
             rep = self._stage_solve(sys.c_mat.T, grad_gap, OpCounter(),
                                     expect_redundant=n - m,
-                                    stage="z-stage b1", replay=self._b1_run)
+                                    stage="z-stage b1", resume=self._b1_run)
             if self._b1_run is None:
                 self._b1_run = rep
             counter.add(rep.mult_count)
@@ -249,17 +248,13 @@ class KTSolver:
                         mult_count=counter.mults, residual_norm=res)
 
     def _stage_solve(self, a, b, counter, expect_redundant, stage,
-                     resume=None, replay=None):
-        """One stage's engine run of ``a x = b``: continued from
-        ``resume``, or ``replay`` (a run of ``a``) replayed on ``b``."""
+                     resume=None):
+        """One stage's engine run of ``a x = b``, resumed from the kept
+        run ``resume`` where it applies."""
         tol = core.Tolerances(residual=STAGE_RESIDUAL_TOL)
         try:
-            if replay is not None:
-                rep = core.replay(replay, b, self.strategy, tol=tol,
-                                  counter=counter)
-            else:
-                rep = core.solve(a, b, strategy=self.strategy, tol=tol,
-                                 counter=counter, resume=resume)
+            rep = core.solve(a, b, strategy=self.strategy, tol=tol,
+                             counter=counter, resume=resume)
         except IncompatibleSystem as exc:
             raise SingularKT(
                 f"{stage}: equation {exc.row} is inconsistent; the "

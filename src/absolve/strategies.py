@@ -47,9 +47,10 @@ class ParameterStrategy:
     never signal incompatibility (the scaled residual of a dependent
     equation vanishes identically, as for orthogonal scalings on
     least-squares runs). ``resumable`` marks strategies whose step reads
-    only its own row, its index and the projector, so that a run can
-    continue from a kept run of its leading rows
-    (:func:`absolve.core.solve`'s ``resume``).
+    only its own row, its index and the projector, so that a run of more
+    rows can continue from a kept run of its leading rows
+    (:func:`absolve.core.solve`'s ``resume``); a kept run of every row
+    serves any strategy.
     """
 
     resolves_inconsistency = False
@@ -226,7 +227,7 @@ class ImplicitLUStrategy(ImplicitLXStrategy):
         return i
 
     def validate_pivot(self, i, den, scale, piv_tol):
-        if abs(den) <= piv_tol * scale:
+        if core._pivot_vanishes(den, piv_tol * scale):
             raise RegularityFailure(i)
 
 
@@ -490,7 +491,7 @@ def implicit_lu_solve(a, b, tol=None, counter=None):
         p_bound = max(1.0, float(np.abs(heads).max()) if i else 1.0) \
             * math.sqrt(i + 1)
         counter.add(1)
-        if abs(d) <= piv_tol * a_norm * p_bound:
+        if core._pivot_vanishes(d, piv_tol * a_norm * p_bound):
             raise RegularityFailure(i)
 
         # x has support 0..i-1 before this step
@@ -546,7 +547,7 @@ def implicit_lu_solve(a, b, tol=None, counter=None):
     counter.add(n * n + n)
     state = core.ProjectorState(h=np.zeros((n, n)), step=n, p_cols=p_out,
                                 v_cols=list(range(n)), pivots=pivots,
-                                matrix=a, rhs=b, counter=counter)
+                                matrix=a, counter=counter)
     return core.SolveReport(x=x, rank=n,
                             eq_status=[core.INDEPENDENT] * n, state=state,
                             mult_count=counter.mults, residual_norm=res,
@@ -593,7 +594,7 @@ def gilu_solve(a, b, h1, z=None, tol=None, counter=None):
     counter.add(m * n + m)
     state = core.ProjectorState(h=None, step=m, p_cols=p_out,
                                 v_cols=list(range(m)), pivots=pivots,
-                                matrix=a, rhs=b, counter=counter)
+                                matrix=a, counter=counter)
     return core.SolveReport(x=x, rank=m,
                             eq_status=[core.INDEPENDENT] * m, state=state,
                             mult_count=counter.mults, residual_norm=res)
@@ -628,7 +629,7 @@ def _deflate_directions(y, c, u, x, piv_tol, counter, iterates=None):
         den = float(row @ ui)
         row_norm = core._norm(row)
         ui_norm = core._norm(p)
-        if abs(den) <= piv_tol * row_norm * ui_norm:
+        if core._pivot_vanishes(den, piv_tol * row_norm * ui_norm):
             counter.add(3 * n)
             raise StrategyBreakdown(
                 i, detail=f"direction pivot {den:.3e} vanishes")

@@ -316,7 +316,7 @@ def column_loop_implicit_lu(a, b, tol=None, keep_factors=True,
     counter.add(n * n + n)
     state = core.ProjectorState(h=np.zeros((n, n)), step=n, p_cols=p_out,
                                 v_cols=list(range(n)), pivots=pivots,
-                                matrix=a, rhs=b, counter=counter)
+                                matrix=a, counter=counter)
     return core.SolveReport(x=x, rank=n,
                             eq_status=[core.INDEPENDENT] * n, state=state,
                             mult_count=counter.mults, residual_norm=res,

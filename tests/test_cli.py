@@ -252,6 +252,18 @@ def test_solve_reports_breakdown_with_the_equation(tmp_path, capsys):
     assert "equation 0" in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow
+def test_solve_reports_a_zero_pivot_under_a_nan_bound_as_a_breakdown(
+        tmp_path, capsys):
+    # the second row's squares overflow: with --tol 0 the pivot bound is
+    # 0 * inf, and the row's exact-zero pivot is still a breakdown
+    mat, rhs = solve_files(tmp_path, [[1.0], [1e200]], [1.0, 1e200])
+    code = cli.main(["solve", mat, rhs, "--tol", "0"])
+    _, err = capsys.readouterr()
+    assert code == cli.EXIT_BREAKDOWN
+    assert "equation 1: breakdown" in err
+
+
 def test_solve_solves_a_saddle_point_file(tmp_path, capsys):
     a = np.array([[4.0, 1.0, 1.0],
                   [1.0, 3.0, 2.0],

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from absolve import core, strategies
+from absolve import core, iterative, strategies
 from absolve.counting import OpCounter
 from absolve.errors import (AbsError, IncompatibleSystem, NotFullRank,
-                            StrategyBreakdown)
+                            RegularityFailure, StrategyBreakdown)
 
 import oracles
 
@@ -867,6 +867,32 @@ def test_breakdown_leaves_the_steps_multiplies_on_the_counter():
     assert counter.mults == 24
 
 
+# the second row's squares overflow, so with zero tolerances (absolve
+# solve --tol 0) its bounds read 0 * inf = NaN, and its pivot is an exact 0
+_TALL = ([[1.0], [1e200]], [1.0, 1e200])
+_SQUARE = ([[1.0, 0.0], [1e200, 0.0]], [1.0, 1e200])
+_NO_TOL = core.Tolerances(dependency=0.0, pivot=0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow
+@pytest.mark.parametrize("run, error", [
+    (lambda: core.solve(*_TALL, "huang", tol=_NO_TOL), StrategyBreakdown),
+    (lambda: core.solve(*_TALL, "mhuang", tol=_NO_TOL), StrategyBreakdown),
+    (lambda: core.solve(*_SQUARE, "ilu", tol=_NO_TOL), RegularityFailure),
+    (lambda: strategies.implicit_lu_solve(*_SQUARE, tol=_NO_TOL),
+     RegularityFailure),
+    (lambda: strategies.gilu_solve(*_SQUARE, np.eye(2), tol=_NO_TOL),
+     StrategyBreakdown),
+    (lambda: iterative.recursive_solve(*_SQUARE, tol=_NO_TOL),
+     StrategyBreakdown),
+], ids=["huang", "mhuang", "ilu", "implicit_lu_solve", "gilu_solve",
+        "recursive_solve"])
+def test_an_exact_zero_pivot_breaks_down_under_a_nan_bound(run, error):
+    with pytest.raises(error) as exc:
+        run()
+    assert type(exc.value) is error and exc.value.row == 1
+
+
 _NORM_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                   1e154, -1.3e154, 1.7976931348623157e308, np.inf, -np.inf,
                   np.nan)
@@ -956,7 +982,6 @@ def test_tolerances_reject_negative_and_nan_fields(field, value):
 
 
 def test_general_solution_needs_a_projector():
-    from absolve import iterative, strategies
     rng = np.random.default_rng(56)
     a, b, _ = random_system(rng, 4, 4)
     for rep in (strategies.gilu_solve(a, b, np.eye(4)),
@@ -1023,46 +1048,37 @@ def _outcome(call):
 REGISTRY = sorted(strategies._REGISTRY)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.sampled_from(REGISTRY), st.integers(0, 2 ** 32 - 1),
        st.integers(1, 9), st.integers(1, 7), st.integers(1, 7),
-       st.booleans())
-def test_replay_is_the_full_run_on_a_new_right_hand_side(name, seed, m, n,
-                                                         rank, bump):
+       st.integers(1, 9), st.sampled_from((None, "kept", "full")),
+       st.booleans(), st.booleans(), st.booleans())
+def test_a_resumed_run_is_the_full_run(name, seed, m, n, rank, head, bump,
+                                       scaled, start, keep):
     rng = np.random.default_rng(seed)
     strategy, a = _registry_system(name, rng, m, n, rank)
-    b1 = a @ rng.standard_normal(n)
-    b2 = a @ rng.standard_normal(n)
-    if bump:
-        # a contradiction where the row is dependent
-        b2[rng.integers(len(b2))] += 1.0
-    try:
-        kept = core.solve(a, b1, strategy)
-    except AbsError:
-        return
-    assert _outcome(lambda: core.replay(kept, b2, strategy)) \
-        == _outcome(lambda: core.solve(a, b2, strategy))
-
-
-@settings(max_examples=120, deadline=None)
-@given(st.sampled_from(REGISTRY), st.integers(0, 2 ** 32 - 1),
-       st.integers(1, 6), st.integers(0, 6), st.integers(1, 7),
-       st.integers(1, 7), st.booleans(), st.booleans())
-def test_resumed_run_is_the_full_run_of_the_stacked_system(
-        name, seed, head, tail, n, rank, bump, keep):
-    rng = np.random.default_rng(seed)
-    strategy, a = _registry_system(name, rng, head + tail, n, rank)
+    if scaled:
+        # rows of every scale from 2^-30 to 2^30
+        a = a * np.exp2(rng.integers(-30, 31, size=(len(a), 1)))
     b = a @ rng.standard_normal(n)
+    # the kept run has its own right-hand side and starts at zero
+    other = a @ rng.standard_normal(n)
     if bump:
-        b[rng.integers(len(b))] += 1.0
+        # a contradiction where the row is dependent, in one of the runs
+        rhs = other if bump == "kept" else b
+        rhs[rng.integers(len(rhs))] += 1.0
+    x1 = rng.standard_normal(n) if start else None
     k = min(head, len(a))
     try:
-        kept = core.solve(a[:k], b[:k], strategy, keep_iterates=keep)
+        kept = core.solve(a[:k], other[:k], strategy)
+    except IncompatibleSystem as exc:
+        kept = exc.report
     except AbsError:
         return
-    assert _outcome(lambda: core.solve(a, b, strategy, keep_iterates=keep,
-                                       resume=kept)) \
-        == _outcome(lambda: core.solve(a, b, strategy, keep_iterates=keep))
+    assert _outcome(lambda: core.solve(a, b, strategy, x1=x1,
+                                       keep_iterates=keep, resume=kept)) \
+        == _outcome(lambda: core.solve(a, b, strategy, x1=x1,
+                                       keep_iterates=keep))
 
 
 def _spied(strategy):
@@ -1102,13 +1118,10 @@ def test_resume_starts_at_row_zero_where_it_does_not_apply():
     b = a @ rng.standard_normal(4)
     other = a.copy()
     other[1, 2] = np.nextafter(other[1, 2], 9.0)
-    redundant = np.vstack([a[:2], a[:1] * 2.0])
     kept_runs = [
-        # other rows, or the same rows with another right-hand side
+        # other rows, or these rows in another layout
         ("huang", core.solve(other[:3], b[:3])),
-        ("huang", core.solve(a[:3], b[:3] + 1.0)),
-        # a kept redundant row, which the stacked run would re-decide
-        ("huang", core.solve(redundant, redundant @ np.ones(4))),
+        ("huang", core.solve(np.asfortranarray(a[:3]), b[:3])),
         # strategies whose steps read more than their own row
         ("ilx", core.solve(a[:3], b[:3], "ilx")),
         ("iqr", core.solve(a[:3], b[:3], "iqr")),
@@ -1122,42 +1135,58 @@ def test_resume_starts_at_row_zero_where_it_does_not_apply():
             assert stepped == list(range(6))
 
 
-def test_replay_runs_the_engine_where_it_cannot_retest_a_row(monkeypatch):
-    # explicit scalings: the run keeps no v of its redundant row 2
+def test_an_incompatible_kept_run_starts_at_row_zero():
+    a = np.array([[1.0, 2.0], [2.0, 4.0], [1.0, 0.0]])
+    with pytest.raises(IncompatibleSystem) as exc:
+        core.solve(a[:2], np.array([3.0, 7.0]))
+    b = np.array([3.0, 6.0, 1.0])
+    strategy, scaled, _ = _spied(strategies.make_strategy("huang"))
+    assert _outcome(lambda: core.solve(a, b, strategy,
+                                       resume=exc.value.report)) \
+        == _outcome(lambda: core.solve(a, b))
+    assert scaled == [0, 1, 2]
+
+
+def test_a_kept_redundant_row_under_explicit_scalings_scales_every_row():
+    # explicit scalings: the run keeps no v of its redundant row 2, so it
+    # cannot retest the row and starts at row 0
     a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     v = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 2.0]])
-    strategy = strategies.GeneralStrategy(v=v)
-    kept = core.solve(a, np.array([1.0, 2.0, 3.0]), strategy)
+    kept = core.solve(a, np.array([1.0, 2.0, 3.0]),
+                      strategies.GeneralStrategy(v=v))
     assert kept.eq_status[2] == core.REDUNDANT
-    b2 = np.array([2.0, -1.0, 1.0])
-    want = _outcome(lambda: core.solve(a, b2, strategy))
-    runs = []
-    engine = core.solve
-    monkeypatch.setattr(core, "solve", lambda *args, **kw: runs.append(1)
-                        or engine(*args, **kw))
-    assert _outcome(lambda: core.replay(kept, b2, strategy)) == want
-    assert runs == [1]
-    # unit scalings are retested without the engine
-    kept = engine(a, np.array([1.0, 2.0, 3.0]))
-    assert _outcome(lambda: core.replay(kept, b2, "huang")) \
-        == _outcome(lambda: engine(a, b2))
-    assert runs == [1]
+    b = np.array([2.0, -1.0, 1.0])
+    strategy, scaled, _ = _spied(strategies.GeneralStrategy(v=v))
+    assert _outcome(lambda: core.solve(a, b, strategy, resume=kept)) \
+        == _outcome(lambda: core.solve(a, b, strategies.GeneralStrategy(v=v)))
+    assert scaled == [0, 1, 2]
+    # a unit scaling is retested on the new b, and no row is stepped
+    kept = core.solve(a, np.array([1.0, 2.0, 3.0]))
+    strategy, scaled, _ = _spied(strategies.make_strategy("huang"))
+    rep = core.solve(a, b, strategy, resume=kept)
+    assert _outcome(lambda: rep) == _outcome(lambda: core.solve(a, b))
+    assert scaled == []
+    assert rep.state.h is kept.state.h
 
 
-def test_replay_needs_a_completed_run_and_a_matching_rhs():
-    a = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(IncompatibleSystem) as exc:
-        core.solve(a, np.array([3.0, 7.0]))
-    with pytest.raises(ValueError, match="no completed run"):
-        core.replay(exc.value.report, np.array([3.0, 6.0]), "huang")
-    kept = core.solve(a, np.array([3.0, 6.0]))
-    with pytest.raises(ValueError, match="rhs length"):
-        core.replay(kept, np.ones(3), "huang")
-    # the contradiction raises as the full run does, with its report
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("row", [1, 2])
+def test_a_resumed_contradiction_raises_the_full_runs_row_report_and_count(
+        k, row):
+    # row 1 is a kept redundant row, whose retest fails and starts the run
+    # at row 0; row 2 comes after the kept rows where k is 2
+    a = np.array([[1.0, 2.0], [2.0, 4.0], [4.0, 8.0]])
+    b = np.array([3.0, 6.0, 12.0])
+    kept = core.solve(a[:k], b[:k])
+    assert kept.eq_status[1] == core.REDUNDANT
+    b[row] += 1.0
+    with pytest.raises(IncompatibleSystem) as full:
+        core.solve(a, b)
     with pytest.raises(IncompatibleSystem) as again:
-        core.replay(kept, np.array([3.0, 7.0]), "huang")
-    assert again.value.row == 1
-    assert again.value.report.mult_count == exc.value.report.mult_count
+        core.solve(a, b, resume=kept)
+    assert again.value.row == full.value.row == row
+    assert _outcome(lambda: core.solve(a, b, resume=kept)) \
+        == _outcome(lambda: core.solve(a, b))
 
 
 class _CountedScaling(strategies.HuangStrategy):
@@ -1207,12 +1236,8 @@ def _with_and_without_the_proof(name, seed, n, k, plant, keep, tol):
     strategy = _tall_strategy(name, rng, m, n)
 
     def outcome():
-        try:
-            return _outcome(lambda: core.solve(a, b, strategy, tol=tol,
-                                               keep_iterates=keep))
-        except ZeroDivisionError as exc:
-            # a zero pivot that a NaN bound (0 * inf) let through
-            return type(exc).__name__, str(exc)
+        return _outcome(lambda: core.solve(a, b, strategy, tol=tol,
+                                           keep_iterates=keep))
 
     with_proof = outcome()
     with mock.patch.object(core, "_spent", lambda *args: False):
@@ -1295,7 +1320,7 @@ def test_classify_vectors_keep_the_contract_of_a_spent_projector(
     strategy = strategies.make_strategy(
         name, **({"h1": np.eye(n)} if name == "gilu" else {}))
     strategy.begin(a)
-    state = core.ProjectorState(h=h, matrix=a, rhs=np.zeros(n))
+    state = core.ProjectorState(h=h, matrix=a)
     h_norm = float(rng.uniform(0.5, 2.0 * np.sqrt(n)))
     for i in range(n):
         v = strategy.scaling(i, state)

@@ -38,8 +38,9 @@ its ``environment`` record, and leaves the others as they are.
   the four one-shot ``kt.solve`` calls, and each engine run inside the
   solver's four pairs, in the order they run (``KT_STAGES``: the
   constraint stage, ``a1``, the first ``b1``, ``a2`` and the second
-  ``b1``), by wrapping ``core.solve``, and ``core.replay`` where the
-  checkout has it. Under the key ``overdetermined`` it times the
+  ``b1``, which resumes the first and steps no row), by wrapping
+  ``core.solve``, and ``core.replay`` in an older checkout that replays
+  the second ``b1`` with it. Under the key ``overdetermined`` it times the
   engine's ``huang``, ``mhuang`` and ``iqr`` on the generated
   overdetermined systems with n=100 and 200 (2n x n), whose second n
   rows come after the n-th pivot. The runs are in fresh
