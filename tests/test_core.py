@@ -1048,13 +1048,12 @@ def _outcome(call):
 REGISTRY = sorted(strategies._REGISTRY)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(REGISTRY), st.integers(0, 2 ** 32 - 1),
-       st.integers(1, 9), st.integers(1, 7), st.integers(1, 7),
-       st.integers(1, 9), st.sampled_from((None, "kept", "full")),
-       st.booleans(), st.booleans(), st.booleans())
-def test_a_resumed_run_is_the_full_run(name, seed, m, n, rank, head, bump,
-                                       scaled, start, keep):
+def _assert_resumed_run_is_the_full_run(name, seed, m, n, rank, head, bump,
+                                        scaled, start, keep):
+    """A run resumed from a kept run on ``a``'s first ``head`` rows, with
+    another right-hand side and a zero start, is the full run with ``x1``
+    and ``keep_iterates`` drawn; ``bump`` puts a contradiction where a row
+    is dependent into the ``"kept"`` or the ``"full"`` run."""
     rng = np.random.default_rng(seed)
     strategy, a = _registry_system(name, rng, m, n, rank)
     if scaled:
@@ -1064,7 +1063,6 @@ def test_a_resumed_run_is_the_full_run(name, seed, m, n, rank, head, bump,
     # the kept run has its own right-hand side and starts at zero
     other = a @ rng.standard_normal(n)
     if bump:
-        # a contradiction where the row is dependent, in one of the runs
         rhs = other if bump == "kept" else b
         rhs[rng.integers(len(rhs))] += 1.0
     x1 = rng.standard_normal(n) if start else None
@@ -1079,6 +1077,31 @@ def test_a_resumed_run_is_the_full_run(name, seed, m, n, rank, head, bump,
                                        keep_iterates=keep, resume=kept)) \
         == _outcome(lambda: core.solve(a, b, strategy, x1=x1,
                                        keep_iterates=keep))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(REGISTRY), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 9), st.integers(1, 7), st.integers(1, 7),
+       st.sampled_from((None, "kept", "full")), st.booleans(),
+       st.booleans(), st.booleans())
+def test_replay_is_the_full_run_on_a_new_right_hand_side(name, seed, m, n,
+                                                         rank, bump, scaled,
+                                                         start, keep):
+    # the kept run holds every row of the system
+    _assert_resumed_run_is_the_full_run(name, seed, m, n, rank, m, bump,
+                                        scaled, start, keep)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(REGISTRY), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 9), st.integers(1, 7), st.integers(1, 7),
+       st.integers(1, 9), st.sampled_from((None, "kept", "full")),
+       st.booleans(), st.booleans(), st.booleans())
+def test_resumed_run_is_the_full_run_of_the_stacked_system(
+        name, seed, m, n, rank, head, bump, scaled, start, keep):
+    # the kept run holds the system's first rows, or all of them
+    _assert_resumed_run_is_the_full_run(name, seed, m, n, rank, head, bump,
+                                        scaled, start, keep)
 
 
 def _spied(strategy):
