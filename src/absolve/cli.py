@@ -103,6 +103,12 @@ def cmd_solve(args):
     if head == "kt" and args.kt_m is None:
         return _fail("kt methods need --kt-m to split the assembled matrix",
                      EXIT_USAGE)
+    if args.kt_m is not None and head != "kt":
+        return _fail(f"--kt-m does not apply to method {args.method!r}",
+                     EXIT_USAGE)
+    if args.kt_m is not None and args.kt_m < 1:
+        return _fail(f"--kt-m must be at least 1, got {args.kt_m}",
+                     EXIT_USAGE)
     if args.tol is not None and head in problems._NO_TOL_METHODS:
         return _fail(f"--tol does not apply to method {args.method!r}",
                      EXIT_USAGE)

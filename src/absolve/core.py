@@ -31,6 +31,16 @@ and the test. Only the residual test decides such a row, and a strategy
 that resolves inconsistency skips the row's scaling too. The run's
 verdicts, bytes and counts stay those of the full steps.
 
+The update ``H <- H - u v^T`` is one k=1 ``dgemm`` through ctypes
+(:class:`_BoundUpdate`), taken from the BLAS that numpy has already
+loaded, or from SciPy's exported one where numpy exposes no ``dgemm``
+symbol. A k=1 ``dgemm`` rounds each product once and each sum once, in
+any BLAS and on any thread count, so the choice moves no byte (see
+:func:`subtract_outer`); it spares the import of ``scipy.linalg``, which
+takes several times as long as the rest of absolve. Beside that
+fallback, only :func:`reconstruct_inverse` and two calls in
+:mod:`absolve.kt` import it, where they run.
+
 Row indices in reports and exceptions are 0-based.
 
 Multiplication counts are exact: every scalar multiply or divide the loop
@@ -44,8 +54,6 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.cython_blas
 
 from .counting import OpCounter
 from .errors import IncompatibleSystem, NotFullRank, StrategyBreakdown
@@ -509,13 +517,15 @@ def _norm(v):
     """``float(np.linalg.norm(v))`` of a 1-D float64 vector, bit for bit.
 
     numpy takes the 2-norm of a vector as ``sqrt(x.dot(x))`` over
-    ``x.ravel('K')``, which for a contiguous vector is the vector itself,
-    so ``math.sqrt(v.dot(v))`` is the same number without the dispatch.
-    Any other input goes to numpy: a strided ``dot`` may sum in another
-    order than the contiguous copy that numpy's ravel makes.
+    ``x.ravel('K')``, so the same two steps give the same number without
+    the dispatch: ``ravel('K')`` is the contiguous vector itself, and a
+    contiguous copy, in numpy's own order, of a strided one. A ``dot`` on
+    the strided vector may sum in another order. Any other input goes to
+    numpy.
     """
-    if isinstance(v, np.ndarray) and v.ndim == 1 \
-            and v.dtype == np.float64 and v.flags.c_contiguous:
+    if isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype == np.float64:
+        if not v.flags.c_contiguous:
+            v = v.ravel(order="K")
         return math.sqrt(v.dot(v))
     return float(np.linalg.norm(v))
 
@@ -551,13 +561,36 @@ _CHECKED_MIN = 1024
 _EDGE_SEARCH_MIN = 16384
 
 
-def _fortran_dgemm():
-    """The Fortran ``dgemm`` that SciPy exports for Cython modules, as a
-    ctypes function of 13 pointers.
+def _numpy_dgemm():
+    """The address of the Fortran ``dgemm`` in the BLAS that numpy has
+    loaded, and the ctypes type of its integers; ``None`` where numpy's
+    extension exposes no such symbol.
 
-    numba reaches BLAS by the same route; it needs no compiled code of
-    ours. It takes every leading dimension as an argument, so it updates
-    a strided view in place."""
+    ``dlsym`` on a handle of numpy's ``_multiarray_umath`` also searches
+    the libraries it depends on, which hold numpy's BLAS. The scipy-openblas
+    wheels export it as ``scipy_dgemm_64_`` with 64-bit integers; other
+    builds as ``dgemm_64_`` or, with 32-bit integers, ``dgemm_``."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    try:
+        lib = ctypes.CDLL(umath.__file__)
+    except OSError:
+        return None
+    for name, blas_int in (("scipy_dgemm_64_", ctypes.c_int64),
+                           ("dgemm_64_", ctypes.c_int64),
+                           ("dgemm_", ctypes.c_int)):
+        address = getattr(lib, name, None)
+        if address is not None:
+            return ctypes.cast(address, ctypes.c_void_p).value, blas_int
+    return None
+
+
+def _scipy_dgemm():
+    """The address of the Fortran ``dgemm`` that SciPy exports for Cython
+    modules, and its integer type, ``int``."""
+    import scipy.linalg.cython_blas
     capsule = scipy.linalg.cython_blas.__pyx_capi__["dgemm"]
     api = ctypes.pythonapi
     name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
@@ -565,10 +598,28 @@ def _fortran_dgemm():
     address = ctypes.PYFUNCTYPE(
         ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", api))(capsule, name)
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 13)(address)
+    return address, ctypes.c_int
 
 
-_DGEMM = _fortran_dgemm()
+def _fortran_dgemm():
+    """A Fortran ``dgemm`` as a ctypes function of 13 pointers, and the
+    ctypes type of its integers.
+
+    It comes from the BLAS that numpy has already loaded
+    (:func:`_numpy_dgemm`), so that importing absolve loads no BLAS of its
+    own; where numpy exposes none (on Windows ``GetProcAddress`` does not
+    search an extension's dependencies), from SciPy's exported capsule
+    (:func:`_scipy_dgemm`). Which BLAS runs it changes no byte: a k=1
+    update rounds each product once and each sum once in any of them
+    (see :func:`subtract_outer`). It takes every leading dimension as an
+    argument, so it updates a strided view in place."""
+    address, blas_int = _numpy_dgemm() or _scipy_dgemm()
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 13)(address), blas_int
+
+
+_DGEMM, _BLAS_INT = _fortran_dgemm()
+# The largest dimension the dgemm's integers hold.
+_BLAS_INT_MAX = 2 ** (8 * ctypes.sizeof(_BLAS_INT) - 1) - 1
 # The pointers every call shares: trans = 'N', alpha = -1 and beta = 1.
 # The call takes ctypes objects for its pointers: it converts them in
 # half the time it takes for Python ints.
@@ -578,8 +629,6 @@ _DGEMM_SCALARS = (ctypes.c_double * 2)(-1.0, 1.0)
 _DGEMM_NOTRANS = _PTR(ctypes.addressof(_DGEMM_NOTRANS_CHAR))
 _DGEMM_ALPHA = _PTR(ctypes.addressof(_DGEMM_SCALARS))
 _DGEMM_BETA = _PTR(ctypes.addressof(_DGEMM_SCALARS) + 8)
-_DGEMM_DIMS = ctypes.c_int * 4
-_C_INT_MAX = 2 ** 31 - 1
 _F64 = np.dtype(np.float64)
 
 # -0.0 read as an int64 is the smallest int64, so one integer min over
@@ -610,10 +659,10 @@ class _DgemmCall:
     __slots__ = ("uv", "uv_at", "a_at", "u_at", "h_at", "dims", "args")
 
     def __init__(self, size):
-        # K (= ldb), M (= lda), N and ldc
-        self.dims = dims = _DGEMM_DIMS(1)
-        d = ctypes.addressof(dims)
-        k, m, n, ldc = _PTR(d), _PTR(d + 4), _PTR(d + 8), _PTR(d + 12)
+        # K (= ldb), M (= lda), N and ldc, in the dgemm's integers
+        self.dims = dims = (_BLAS_INT * 4)(1)
+        d, width = ctypes.addressof(dims), ctypes.sizeof(_BLAS_INT)
+        k, m, n, ldc = (_PTR(d + i * width) for i in range(4))
         self.a_at, self.u_at, self.h_at = _PTR(), _PTR(), _PTR()
         # dgemm('N', 'N', M, N, K, -1, A=v, lda, B=u, ldb, 1, C=h, ldc)
         # on h^T
@@ -651,11 +700,12 @@ class _BoundUpdate:
         row_step, col_step = h.strides
         ld = row_step // 8 if rows > 1 else max(cols, 1)
         flags = h.flags
-        # unit column stride and a row stride of at least cols, in C ints
+        # unit column stride and a row stride of at least cols, in the
+        # dgemm's integers
         blas = (h.dtype is _F64 and flags.aligned and flags.writeable
                 and h.size > 0 and (cols == 1 or col_step == 8)
                 and (rows == 1 or (row_step % 8 == 0 and ld >= cols))
-                and max(rows, ld) <= _C_INT_MAX)
+                and max(rows, ld) <= _BLAS_INT_MAX)
         self.h, self._rows, self._cols, self._ld = h, rows, cols, ld
         self._clean = no_negative_zero
         self._target = self._call = None
@@ -723,29 +773,30 @@ def subtract_outer(h, u, v):
     view; ``v`` must not share memory with ``h`` (pass a copy of a row
     of ``h``).
 
-    The one BLAS route is a k=1 call of the Fortran ``dgemm`` that SciPy
-    exports for Cython, through ctypes, on ``h^T`` in place with the row
-    stride of ``h`` as its leading dimension. It is exact: the kernel's
-    accumulator starts at +0 and takes the one product
-    ``round(u[i] v[j])``, multiplying that by -1 is exact, and adding it
-    to ``h[i, j]`` rounds once, as the unfused subtraction does; the
-    entries are independent, so any BLAS thread count gives the same
-    bytes. The one difference is a product of exactly -0, which the
-    accumulator turns into +0: where ``h[i, j]`` is -0 the kernel leaves
-    -0 and the unfused expression gives +0. The route is therefore taken
-    when ``h`` is a row-major float64 view (unit column stride, a row
-    stride of at least ``cols``), the sum of the squares of ``u`` and
-    ``v`` is finite (an inf or a NaN fails, and so, conservatively, does
-    a sum that overflows), and either the caller's binding states the -0
-    fact, that ``h`` holds no -0.0 (``_BoundUpdate(h, True)``), or no
-    product can round to zero (``min|u| min|v| > 0``, by the monotonicity
-    of rounding). The magnitude test runs from ``_CHECKED_MIN`` entries;
-    the fact takes the route at any size. Everything else takes one
-    numpy ``np.subtract(h, np.multiply(u[:, None], v), out=h)``. Neither
-    path creates a -0 in a matrix that holds none (``x - y`` is -0 only
-    when ``x`` is), so one check of the matrix a run starts with states
-    the fact for the run. A true fact changes no byte; a false one can
-    leave a -0 where the unfused expression gives +0.
+    The one BLAS route is a k=1 call of the Fortran ``dgemm`` of the BLAS
+    that numpy has loaded (SciPy's exported one where numpy exposes none,
+    see :func:`_fortran_dgemm`), through ctypes, on ``h^T`` in place with
+    the row stride of ``h`` as its leading dimension. It is exact: the
+    kernel's accumulator starts at +0 and takes the one product
+    ``round(u[i] v[j])``, multiplying that by -1 is exact, and adding it to
+    ``h[i, j]`` rounds once, as the unfused subtraction does; the entries
+    are independent, so any BLAS thread count, and any BLAS library, gives
+    the same bytes. The one difference is a product of exactly -0, which the
+    accumulator turns into +0: where ``h[i, j]`` is -0 the kernel leaves -0
+    and the unfused expression gives +0. The route is therefore taken when
+    ``h`` is a row-major float64 view (unit column stride, a row stride of
+    at least ``cols``), the sum of the squares of ``u`` and ``v`` is finite
+    (an inf or a NaN fails, and so, conservatively, does a sum that
+    overflows), and either the caller's binding states the -0 fact, that
+    ``h`` holds no -0.0 (``_BoundUpdate(h, True)``), or no product can round
+    to zero (``min|u| min|v| > 0``, by the monotonicity of rounding). The
+    magnitude test runs from ``_CHECKED_MIN`` entries; the fact takes the
+    route at any size. Everything else takes one numpy
+    ``np.subtract(h, np.multiply(u[:, None], v), out=h)``. Neither path
+    creates a -0 in a matrix that holds none (``x - y`` is -0 only when
+    ``x`` is), so one check of the matrix a run starts with states the fact
+    for the run. A true fact changes no byte; a false one can leave a -0
+    where the unfused expression gives +0.
 
     Under the fact an update of ``_EDGE_SEARCH_MIN`` entries or more also
     leaves out the leading and trailing rows where ``u`` is +-0, and does
@@ -803,4 +854,7 @@ def implicit_factorization(report):
 
 def reconstruct_inverse(p, l, v):
     """Rebuild ``A^{-1} = P L^{-1} V^T`` from the implicit factors."""
+    # imported here: nothing else on the engine's path needs scipy.linalg,
+    # which costs more to import than absolve does without it
+    import scipy.linalg
     return p @ scipy.linalg.solve_triangular(l, v.T, lower=True)

@@ -32,7 +32,12 @@ Two interchangeable methods finish each unknown block:
 * z-stage ``b1``: solve the overdetermined ``C^T z = g - G p`` directly
   (n - m equations are redundant).
 * z-stage ``b2``: back-substitute through the triangular ``L^T z =
-  P^T (g - G p)`` reusing the constraint-stage factors.
+  P^T (g - G p)`` reusing the constraint-stage factors, with SciPy's
+  ``solve_triangular``.
+
+``b2`` and :func:`dense_baseline` are the module's only calls into
+``scipy.linalg``, and import it where they run: a process whose KT solves
+finish with ``b1`` never loads it.
 
 Stage-two right-hand sides inherit the rounding error of earlier stages,
 so those subsolves run with a loosened redundancy-residual threshold
@@ -44,7 +49,6 @@ singular; that raises :class:`~absolve.errors.SingularKT`.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import core
 from .counting import OpCounter
@@ -239,6 +243,7 @@ class KTSolver:
         else:
             rhs = p_mat.T @ grad_gap
             counter.add(m * n)
+            import scipy.linalg
             z = scipy.linalg.solve_triangular(l_mat.T, rhs, lower=False)
             counter.add(m * (m + 1) // 2)
 
@@ -274,6 +279,7 @@ def solve(system, p_method="a2", z_method="b2", strategy="huang"):
 
 def dense_baseline(system):
     """Reference solution of the assembled block system via dense LU."""
+    import scipy.linalg
     k, rhs = system.assemble()
     lu, piv = scipy.linalg.lu_factor(k)
     sol = scipy.linalg.lu_solve((lu, piv), rhs)

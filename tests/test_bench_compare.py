@@ -27,7 +27,7 @@ def test_kernel_script_times_every_solver_on_this_checkout():
         capture_output=True, text=True, env=tool.single_thread_env(),
         check=True, timeout=300)
     out = json.loads(proc.stdout)
-    assert set(out) == {"8", "dio", "kt", "overdetermined"}
+    assert set(out) == {"8", "dio", "kt", "overdetermined", "startup"}
     assert set(out["8"]) == {
         "packed_ilu_s", "engine_ilu_s", "engine_ilx_s", "huang_s",
         "mhuang_s", "iqr_s", "gilu_s", "lapack_s", "subtract_outer_s",
@@ -42,6 +42,7 @@ def test_kernel_script_times_every_solver_on_this_checkout():
     assert set(out["overdetermined"]) == {
         f"{name}_n{n}_s" for n in (100, 200)
         for name in ("huang", "mhuang", "iqr")}
+    assert set(out["startup"]) == {"import_cli_s", "solve_process_s"}
     for section in out.values():
         assert all(isinstance(t, float) and t >= 0.0
                    for t in section.values())

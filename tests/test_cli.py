@@ -286,6 +286,34 @@ def test_kt_method_requires_the_split_count(tmp_path, capsys):
     assert "--kt-m" in err
 
 
+@pytest.mark.parametrize("method,kt_m", [
+    ("kt:a1b1", "0"), ("kt:a2b2", "-3"), ("huang", "5"), ("dio", "1"),
+    ("absm:m=2:y=energy", "1"),
+])
+def test_kt_m_is_a_usage_error_where_it_does_not_apply(tmp_path, capsys,
+                                                       method, kt_m):
+    # refused before any file is read, as --tol is: the files are missing
+    missing = str(tmp_path / "nope.txt")
+    code = cli.main(["solve", missing, missing, "--method", method,
+                     "--kt-m", kt_m])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert out == "" and err.startswith("absolve: --kt-m ")
+
+
+def test_kt_m_at_or_above_the_matrix_size_is_a_data_error(tmp_path, capsys):
+    a = [[4.0, 1.0, 1.0], [1.0, 3.0, 2.0], [1.0, 2.0, 0.0]]
+    mat, rhs = solve_files(tmp_path, a, [6.0, 6.0, 3.0])
+    for kt_m in ("3", "4"):
+        code = cli.main(["solve", mat, rhs, "--method", "kt:a1b1",
+                         "--kt-m", kt_m])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_DATA
+        assert out == "" and "1 <= m < size" in err
+    assert cli.main(["solve", mat, rhs, "--method", "kt:a1b1",
+                     "--kt-m", "1"]) == cli.EXIT_OK
+
+
 def test_unknown_method_is_a_usage_error(tmp_path, capsys):
     mat, rhs = solve_files(tmp_path, [[1.0]], [1.0])
     code = cli.main(["solve", mat, rhs, "--method", "huang:x"])

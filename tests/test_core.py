@@ -1,6 +1,7 @@
 """Engine-level behavior: classification, invariants, reports, counting."""
 
 import ctypes
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -146,6 +147,30 @@ def test_subtract_outer_matches_the_unfused_expression(case):
     # columns outside the view are left alone
     assert np.array_equal(parent[:, :parent.shape[1] - h.shape[1]],
                           before[:, :parent.shape[1] - h.shape[1]])
+
+
+@pytest.mark.parametrize("case", ("contiguous", "column-slice",
+                                  "copied-row", "row-blocks",
+                                  "signed-zeros", "near-cancellation"))
+@pytest.mark.parametrize("fact", (False, True))
+def test_scipys_dgemm_gives_the_bytes_of_the_default_binding(case, fact,
+                                                             capsule_dgemm):
+    # the update's dgemm bound from SciPy's capsule: the unfused bytes,
+    # which the cases above show the default binding gives
+    rng = np.random.default_rng(23)
+    if case == "near-cancellation":
+        h, u, v = _near_cancellation(rng, 300, 300)
+    else:
+        h, u, v = _subtract_outer_case(case, rng)
+    # the fact holds where h has no -0.0
+    fact = fact and not np.signbit(h[h == 0.0]).any()
+    expected = h - np.outer(u, v)
+    core._BoundUpdate(h, fact)(u, v)
+    assert h.tobytes() == expected.tobytes()
+    assert np.array_equal(np.signbit(h), np.signbit(expected))
+    # with the fact, and from _CHECKED_MIN entries without it, the
+    # update took SciPy's dgemm
+    assert bool(capsule_dgemm) == (fact or h.size >= core._CHECKED_MIN)
 
 
 def _full_mantissa(rng, size):
@@ -511,14 +536,21 @@ def test_interleaved_bindings_share_the_threads_growing_workspace(
     assert len(dgemm_calls) == 3 + 2 * 5 - 2
 
 
-def test_view_leading_dimensions_must_fit_a_c_int():
+@pytest.mark.parametrize("binding", ("numpy", "scipy"))
+def test_view_leading_dimensions_must_fit_the_dgemm_integers(binding,
+                                                             request):
+    if binding == "scipy":
+        request.getfixturevalue("capsule_dgemm")
     buf = np.zeros(8)
     # views that are never written: binding reads only their strides
     fits = np.lib.stride_tricks.as_strided(buf, (2, 3), (8 * 5, 8))
     bound = core._BoundUpdate(fits)
     assert bound._target is not None and bound._ld == 5
+    # a leading dimension of 2^31 fits 64-bit integers only; SciPy's
+    # capsule takes C ints
     wide = np.lib.stride_tricks.as_strided(buf, (2, 3), (8 * 2 ** 31, 8))
-    assert core._BoundUpdate(wide)._target is None
+    taken = core._BoundUpdate(wide)._target is not None
+    assert taken == (ctypes.sizeof(core._BLAS_INT) == 8)
 
 
 def _signed_specials(draw, rng, a):
@@ -917,6 +949,25 @@ def test_norm_helper_is_numpys_vector_norm(values, stride, offset):
             got = core._norm(v)
         assert type(got) is float
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_norm_helper_takes_strided_rows_without_numpys_dispatch():
+    # the rows of C^T that KT's b1 stage projects, reversed and strided
+    # views, and views of length 0 and 1
+    rng = np.random.default_rng(75)
+    c = rng.standard_normal((75, 150))
+    views = [*c.T, *(row[::-1] for row in c), *(row[::-3] for row in c),
+             c.T[0][:0], c.T[0][:1], c[0, ::-1][:1]]
+    assert not any(v.flags.c_contiguous for v in views[:-3])
+    with mock.patch.object(np.linalg, "norm", side_effect=AssertionError):
+        got = [core._norm(v) for v in views]
+    want = [float(np.linalg.norm(v)) for v in views]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    # the case discriminates: a dot on the strided rows sums in another
+    # order, and so does one on the reversed rows in memory order
+    assert any(math.sqrt(v.dot(v)) != w for v, w in zip(c.T, want))
+    assert any(math.sqrt(v[::-1].dot(v[::-1])) != w
+               for v, w in zip(views[150:225], want[150:225]))
 
 
 def test_implicit_factorization_reconstructs_the_inverse():

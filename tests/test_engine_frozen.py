@@ -23,6 +23,10 @@ the packed block) and NaN-holding systems. A third freezes
 ``GeneralStrategy`` under every combination of explicit scalings ``v``,
 search seeds ``z``, update seeds ``w`` and start projector ``h1``, with
 the multiply count of each run, failed runs included.
+
+The update's ``dgemm`` comes from the BLAS that numpy loads; the first two
+digests are also checked with it bound from SciPy's exported capsule, the
+source on installs whose numpy exposes no BLAS symbol.
 """
 
 import hashlib
@@ -332,3 +336,11 @@ def test_packed_implicit_lu_output_is_frozen():
 
 def test_general_strategy_output_is_frozen():
     assert _digest(general_runs()) == GENERAL_DIGEST
+
+
+def test_scipys_dgemm_gives_the_frozen_bytes(capsule_dgemm):
+    # the update's dgemm bound from SciPy's capsule instead of numpy's
+    # BLAS: a k=1 update rounds each product and each sum once in either
+    assert engine_digest() == ENGINE_DIGEST
+    assert _digest(packed_lu_runs()) == PACKED_LU_DIGEST
+    assert capsule_dgemm

@@ -43,13 +43,17 @@ its ``environment`` record, and leaves the others as they are.
   the second ``b1`` with it. Under the key ``overdetermined`` it times the
   engine's ``huang``, ``mhuang`` and ``iqr`` on the generated
   overdetermined systems with n=100 and 200 (2n x n), whose second n
-  rows come after the n-th pivot. The runs are in fresh
-  interpreters that alternate between the checkouts; each figure is the
-  fastest of a few repeats after a warm-up call. Besides each side's
-  median, fastest and slowest process, the summary records under
-  ``wins``, for each size and solver, in how many of the back-to-back
-  process pairs the change was faster, so a kernel comparison can be
-  read by the nine-in-ten rule of ``pairs``.
+  rows come after the n-th pivot. Under the key ``startup`` it records
+  the seconds of ``import absolve.cli`` after numpy in the interpreter
+  itself, and the fastest wall time of a whole
+  ``python -m absolve.cli solve`` process on a generated n=16 system.
+  The runs are in fresh interpreters that alternate between the
+  checkouts; each figure is the fastest of a few repeats after a warm-up
+  call (the import, once per interpreter). Besides each side's median,
+  fastest and slowest process, the summary records under ``wins``, for
+  each size and solver, in how many of the back-to-back process pairs
+  the change was faster, so a kernel comparison can be read by the
+  nine-in-ten rule of ``pairs``.
 """
 
 import argparse
@@ -73,10 +77,14 @@ KERNEL_SIZES = (100, 150, 200, 300, 600)
 KERNEL_PROCESSES = 10
 KERNEL_REPEATS = 3
 KERNEL = r"""
-import json, sys, time
+import json, os, subprocess, sys, tempfile, time
 sys.path.insert(0, sys.argv[1])
 import numpy as np
-from absolve import core, diophantine, kt, problems, strategies
+# the package's own import, in this fresh interpreter
+t0 = time.perf_counter()
+import absolve.cli
+import_cli_s = time.perf_counter() - t0
+from absolve import core, diophantine, kt, matfile, problems, strategies
 
 solvers = {
     "packed_ilu_s": strategies.implicit_lu_solve,
@@ -194,6 +202,20 @@ for n in (100, 200):
     for name in ("huang", "mhuang", "iqr"):
         over[f"{name}_n{n}_s"] = best_of(
             lambda: core.solve(p.a, p.b, strategy=name))
+
+# a whole `absolve solve` process on an n=16 system
+p = problems.generate(problems.ProblemSpec(kind="determined", n=16, seed=16))
+with tempfile.TemporaryDirectory() as tmp:
+    mat, rhs = os.path.join(tmp, "a.txt"), os.path.join(tmp, "b.txt")
+    matfile.write_matrix(mat, p.a)
+    matfile.write_matrix(rhs, p.b)
+    env = dict(os.environ, PYTHONPATH=sys.argv[1])
+    out["startup"] = {
+        "import_cli_s": import_cli_s,
+        "solve_process_s": best_of(lambda: subprocess.run(
+            [sys.executable, "-m", "absolve.cli", "solve", mat, rhs],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            check=True))}
 print(json.dumps(out))
 """
 
