@@ -1,12 +1,21 @@
 """The exact integer solver's output, frozen.
 
-A sha256 over everything ``diophantine`` returns on a fixed grid: the
-``bezout_gcd`` certificates, ``solve``'s ``x``, ``h``, ``deltas``,
-``eq_status`` and ``rank`` (or the exception text with its
-``(row, delta, tau)`` witness), and the ``solutions_in_box`` lists. The
-arithmetic is exact Python integers, so the digest depends on no BLAS
-build or CPU; it moves when a certificate, a fold order, a projector row
-or an enumerated point changes.
+Two sha256 digests over a fixed grid. ``DIOPHANTINE_DIGEST`` covers
+everything ``diophantine`` returns: the ``bezout_gcd`` certificates,
+``solve``'s ``x``, ``h``, ``deltas``, ``eq_status`` and ``rank`` (or the
+exception text with its ``(row, delta, tau)`` witness), and the
+``solutions_in_box`` lists. It moves when a certificate, a fold order, a
+basis row or an enumerated point changes.
+
+``VERDICT_DIGEST`` covers only what the solution lattice decides, so a
+different basis of the same lattice leaves it as it is: the
+``bezout_gcd`` certificates, ``eq_status``, ``deltas`` and ``rank``,
+whether ``x`` solves the system (and ``x`` itself where the system is
+square of full rank, so that its solution is unique), the exception's
+type and row, its ``delta`` and its ``tau`` modulo ``delta``, the
+partial report's ``eq_status``, ``deltas`` and ``rank``, and the
+``solutions_in_box`` lists. The arithmetic is exact Python integers, so
+neither digest depends on a BLAS build or CPU.
 
 The grid: ``kind="diophantine"`` problems at n = 1..20, the small-calls
 dio and box units of the benchmark with their planted obstructions,
@@ -23,14 +32,10 @@ import random
 from absolve import diophantine, problems
 from absolve.errors import AbsError
 
-DIOPHANTINE_DIGEST = ("01cefaaecf7f2f108f298654c1b64d52"
-                      "3737e5062f7f984de0b5dc9c3ecbd112")
-
-# boxes whose enumeration took more than a second with the full adjugate
-# box (the solver before the exact last-coordinate interval); their
-# solves stay in the grid, their boxes do not
-SLOW_BOXES = {"lat/3x5/2/0", "lat/1x4/2/3", "lat/1x4/4/2", "lat/1x4/4/5",
-              "lat/1x4/4/7", "lat/1x4/4/11"}
+DIOPHANTINE_DIGEST = ("a659e1481c79f989a6710221af943585"
+                      "8b59ff8c864fe1263ac59e301ea2fe24")
+VERDICT_DIGEST = ("d22d82a052dfa4ed4a9f62c3129d65c5"
+                  "bcf72c041ad1402ef11a362d05a984ed")
 
 
 def bezout_inputs():
@@ -160,8 +165,7 @@ def solve_cases():
             x = [rng.randint(-2, 2) for _ in range(cols)]
             b = [sum(av * xv for av, xv in zip(row, x)) for row in a]
             label = f"lat/{rows}x{cols}/{bound}/{j}"
-            cases.append((label, a, b, None, None,
-                          None if label in SLOW_BOXES else j % 4))
+            cases.append((label, a, b, None, None, j % 4))
     return cases
 
 
@@ -177,15 +181,47 @@ def _run(a, b, h1, x1, radius):
     return out
 
 
-def diophantine_digest():
+def _verdict(a, b, h1, x1, radius):
+    try:
+        rep = diophantine.solve(a, b, h1=h1, x1=x1)
+    except AbsError as exc:
+        delta, tau = getattr(exc, "delta", None), getattr(exc, "tau", None)
+        part = exc.report
+        return (type(exc).__name__, exc.row, delta,
+                tau % delta if delta else None,
+                part.eq_status, part.deltas, part.rank)
+    solves = all(sum(av * xv for av, xv in zip(row, rep.x)) == bv
+                 for row, bv in zip(a, b))
+    unique = rep.rank == len(a) == len(rep.x)
+    out = (rep.deltas, rep.eq_status, rep.rank, solves,
+           rep.x if unique else None)
+    if radius is not None:
+        out += (diophantine.solutions_in_box(rep, radius),)
+    return out
+
+
+def _digest(outcome):
     digest = hashlib.sha256()
     for values in bezout_inputs():
         digest.update(repr((values, diophantine.bezout_gcd(values)))
                       .encode())
     for label, a, b, h1, x1, radius in solve_cases():
-        digest.update(repr((label, _run(a, b, h1, x1, radius))).encode())
+        digest.update(repr((label, outcome(a, b, h1, x1, radius)))
+                      .encode())
     return digest.hexdigest()
+
+
+def diophantine_digest():
+    return _digest(_run)
+
+
+def verdict_digest():
+    return _digest(_verdict)
 
 
 def test_diophantine_output_is_frozen():
     assert diophantine_digest() == DIOPHANTINE_DIGEST
+
+
+def test_diophantine_verdicts_are_frozen():
+    assert verdict_digest() == VERDICT_DIGEST
