@@ -19,7 +19,8 @@ print("gcd(12, 20, 15) =", g, "via", coeffs,
       "->", 12 * coeffs[0] + 20 * coeffs[1] + 15 * coeffs[2])
 
 # A solvable system. Entries of x and of the basis matrix H are exact
-# Python ints, never floats.
+# Python ints, never floats. H is n x n: its first n - rank rows are a
+# basis of the solution lattice, the rest are zero.
 a = [[3, 5, 2],
      [4, 2, 6]]
 b = [1, 2]
@@ -29,9 +30,8 @@ print("solve 3x + 5y + 2z = 1, 4x + 2y + 6z = 2")
 print("  particular solution:", rep.x)
 print("  rank:", rep.rank, " status:", rep.eq_status)
 print("  basis rows of the solution lattice:")
-for row in rep.h:
-    if any(row):
-        print("   ", row)
+for row in rep.h[:3 - rep.rank]:
+    print("   ", row)
 print("  all entries int:",
       all(type(v) is int for v in rep.x + sum(rep.h, [])))
 

@@ -1,10 +1,16 @@
 """Exact projection solver for integer linear systems.
 
-Works entirely in Python integers (arbitrary precision, no rounding). One
-equation is absorbed per step: the projected row ``s = H a_i`` is reduced to
-its gcd ``delta`` with an explicit certificate vector ``z`` (``z . s =
-delta``), the step length is the exact quotient ``tau / delta``, and the
-projector update divides ``s`` by ``delta`` so ``H`` stays integral.
+Works entirely in Python integers (arbitrary precision, no rounding). It
+is the integer ABS class of Esmaeili, Mahdavi-Amiri and Spedicato, with
+the n x n projector ``H`` replaced by a basis ``B`` of the integer null
+lattice of the rows processed so far: ``n - rank`` rows. One equation is
+absorbed per step. The projected row ``s = B a_i`` is reduced to its gcd
+``delta`` by a sequence of folds, and the same folds, applied to the rows
+of ``B``, leave one row ``p`` with ``p . a_i = delta`` and make every
+other row orthogonal to ``a_i``. The step ``x -= (tau / delta) p`` is
+exact, and ``p`` leaves the basis. The folds are unimodular, so the rows
+that stay are a basis of the new null lattice; no rank-one update
+multiplies the entries up.
 
 Solvability splits into three levels per equation and the report records
 which one each equation hit:
@@ -18,15 +24,18 @@ which one each equation hit:
   ``(row, delta, tau)``: ``delta`` divides every integer combination of the
   remaining unknowns, ``tau`` is not a multiple of it.
 
-After a completed run the rows of ``H`` span the integer null lattice of the
-processed rows, so ``x + H^T q`` over all integer ``q`` enumerates every
-integer solution exactly.
+These verdicts and ``delta`` depend only on the lattice, not on the basis
+that spans it; ``tau`` is fixed modulo ``delta``.
+
+After a completed run the basis rows span the integer null lattice of
+the processed rows, so ``x + B^T q`` over all integer ``q`` enumerates
+every integer solution exactly.
 """
 
 from bisect import insort
 from dataclasses import dataclass
 from itertools import product
-from operator import mul
+from operator import mul, sub
 
 from .errors import IncompatibleSystem, IntegerInconsistent
 
@@ -62,13 +71,15 @@ def _as_int_vector(b, what="vector"):
     return out
 
 
-def bezout_gcd(values):
-    """Greatest common divisor with a certificate combination.
+def _folds(values):
+    """The gcd of ``values`` as a sequence of folds.
 
-    Returns ``(g, z)`` with ``g = gcd(values) >= 0`` and
-    ``sum(z[i] * values[i]) == g``. The reduction always folds the two
-    currently largest magnitudes into each other, which keeps the
-    certificate entries small. All-zero input gives ``(0, [0, ...])``.
+    Returns ``(g, survivor, folds)`` with ``g = gcd(values) >= 0``. Each
+    fold ``(a, b, q)`` replaces ``|v_a|`` by ``|v_a| - q |v_b|``, its
+    remainder modulo ``|v_b|``; after the last fold ``|v_survivor| = g``
+    and every other entry is zero. The two currently largest magnitudes
+    fold into each other, which keeps the quotients small. All-zero
+    input gives ``(0, None, [])``.
 
     The fold order is that of re-sorting the live entries by magnitude
     (stable, descending) before every fold, the two at the front folding.
@@ -80,22 +91,10 @@ def bezout_gcd(values):
     takes a ``tie`` above every earlier one, because the stable sort
     puts the entry just folded, which sits at the front of the list,
     ahead of every other entry of its magnitude.
-
-    The certificate comes from one backward pass. Fold ``(a, b, q)``
-    replaces entry ``a``'s coefficient row by ``row_a - q row_b``: it
-    left-multiplies the coefficient matrix, which starts as
-    ``C_0 = diag(sign v)``, by ``E = I - q e_a e_b^T``. For the survivor
-    ``s``, ``z^T = e_s^T E_K ... E_1 C_0``. Evaluated from the left, with
-    ``w = e_s``, each ``w^T E`` is ``w[b] -= q w[a]``, and finally
-    ``z_i = sign(v_i) w_i``: the same integers as carrying a dense
-    coefficient vector through every fold, for one scalar update per
-    fold.
     """
-    values = list(values)
-    m = len(values)
     keys = [(abs(v), -i, i) for i, v in enumerate(values) if v]
     if not keys:
-        return 0, [0] * m
+        return 0, None, []
 
     keys.sort()
     folds = []
@@ -109,6 +108,31 @@ def bezout_gcd(values):
             tie += 1
             insort(keys, (r, tie, a))
     g, _, s = keys[0]
+    return g, s, folds
+
+
+def bezout_gcd(values):
+    """Greatest common divisor with a certificate combination.
+
+    Returns ``(g, z)`` with ``g = gcd(values) >= 0`` and
+    ``sum(z[i] * values[i]) == g``, reduced by the folds of
+    :func:`_folds`. All-zero input gives ``(0, [0, ...])``.
+
+    The certificate comes from one backward pass. Fold ``(a, b, q)``
+    replaces entry ``a``'s coefficient row by ``row_a - q row_b``: it
+    left-multiplies the coefficient matrix, which starts as
+    ``C_0 = diag(sign v)``, by ``E = I - q e_a e_b^T``. For the survivor
+    ``s``, ``z^T = e_s^T E_K ... E_1 C_0``. Evaluated from the left, with
+    ``w = e_s``, each ``w^T E`` is ``w[b] -= q w[a]``, and finally
+    ``z_i = sign(v_i) w_i``: the same integers as carrying a dense
+    coefficient vector through every fold, for one scalar update per
+    fold.
+    """
+    values = list(values)
+    m = len(values)
+    g, s, folds = _folds(values)
+    if not g:
+        return 0, [0] * m
     w = [0] * m
     w[s] = 1
     for a, b, q in reversed(folds):
@@ -149,10 +173,12 @@ def bareiss_det(mat):
 class DioReport:
     """Outcome of an integer projection solve.
 
-    ``x`` is a particular integer solution, ``h`` the final projector
-    whose rows span the integer null lattice of the processed rows,
-    ``deltas`` the gcd absorbed per independent equation (the invariant
-    factors of the elimination order).
+    ``x`` is a particular integer solution and ``deltas`` the gcd
+    absorbed per independent equation (the invariant factors of the
+    elimination order). ``h`` is n x n: its first ``n - rank`` rows are
+    a basis of the integer null lattice of the processed rows, and its
+    last ``rank`` rows are zero. A partial report's ``h`` holds the basis
+    the failing row met, laid out the same way.
     """
 
     x: list
@@ -170,7 +196,7 @@ def solve(a, b, h1=None, x1=None):
     Parameters
     ----------
     a, b : integer matrix (m x n) and integer right-hand side (m,).
-    h1 : optional initial projector; must be unimodular (determinant +-1)
+    h1 : optional initial basis; must be unimodular (determinant +-1)
         so that its rows span the full integer lattice.
     x1 : optional integer starting point.
 
@@ -185,12 +211,12 @@ def solve(a, b, h1=None, x1=None):
     n = len(a[0]) if m else 0
 
     if h1 is None:
-        h = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+        basis = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
     else:
-        h = _as_int_matrix(h1, "initial projector")
-        if len(h) != n or (h and len(h[0]) != n):
+        basis = _as_int_matrix(h1, "initial projector")
+        if len(basis) != n or (basis and len(basis[0]) != n):
             raise ValueError("initial projector must be n x n")
-        if bareiss_det(h) not in (1, -1):
+        if bareiss_det(basis) not in (1, -1):
             raise ValueError("initial projector must be unimodular")
     x = [0] * n if x1 is None else _as_int_vector(x1, "x1")
     if len(x) != n:
@@ -201,46 +227,48 @@ def solve(a, b, h1=None, x1=None):
     for i in range(m):
         row = a[i]
         tau = sum(map(mul, row, x)) - b[i]
-        s = [sum(map(mul, hr, row)) for hr in h]
-        if not any(s):
+        s = [sum(map(mul, br, row)) for br in basis]
+        delta, survivor, folds = _folds(s)
+        if not delta:
             if tau == 0:
                 eq_status.append(REDUNDANT)
                 continue
             eq_status.append(INCOMPATIBLE)
             raise IncompatibleSystem(
-                i, report=_partial(eq_status, h, deltas, a, b),
+                i, report=_report(None, eq_status, basis, deltas, a, b),
                 detail=f"projected row vanished, residual {tau}")
-        delta, z = bezout_gcd(s)
         if tau % delta != 0:
             eq_status.append(INTEGER_INCOMPATIBLE)
             raise IntegerInconsistent(
-                i, delta, tau, report=_partial(eq_status, h, deltas, a, b))
-        alpha = tau // delta
+                i, delta, tau,
+                report=_report(None, eq_status, basis, deltas, a, b))
 
-        # p = H^T z is both the integer step direction and the row the
-        # projector update subtracts; only the rows of H that z uses
-        # enter it
-        zh = [0] * n
-        for zj, hj in zip(z, h):
-            if zj:
-                zh = [pv + zj * hv for pv, hv in zip(zh, hj)]
-        x = [xv - alpha * pv for xv, pv in zip(x, zh)]
-
-        # H <- H - (s/delta) (z^T H); the new rows still span the null
-        # lattice of the rows processed so far
+        # the folds act on |s|: with the rows of negative s negated, fold
+        # (j, k, q) is the unimodular row operation b_j -= q b_k, after
+        # which b_j . a_i is the fold's remainder
         for j, sj in enumerate(s):
-            if sj:
-                f = sj // delta
-                h[j] = [hv - f * zv for hv, zv in zip(h[j], zh)]
+            if sj < 0:
+                basis[j] = [-v for v in basis[j]]
+        for j, k, q in folds:
+            if q == 1:
+                basis[j] = list(map(sub, basis[j], basis[k]))
+            else:
+                basis[j] = [u - q * v for u, v in zip(basis[j], basis[k])]
+        # p . a_i = delta; the other rows now lie in the null lattice
+        p = basis.pop(survivor)
+        alpha = tau // delta
+        x = [xv - alpha * pv for xv, pv in zip(x, p)]
         eq_status.append(INDEPENDENT)
         deltas.append(delta)
 
+    return _report(x, eq_status, basis, deltas, a, b)
+
+
+def _report(x, eq_status, basis, deltas, a, b):
+    # h is n x n: the basis rows, then one zero row per independent row
+    n = len(a[0]) if a else 0
+    h = basis + [[0] * n for _ in range(n - len(basis))]
     return DioReport(x=x, rank=len(deltas), eq_status=eq_status, h=h,
-                     deltas=deltas, matrix=a, rhs=b)
-
-
-def _partial(eq_status, h, deltas, a, b):
-    return DioReport(x=None, rank=len(deltas), eq_status=eq_status, h=h,
                      deltas=deltas, matrix=a, rhs=b)
 
 
@@ -263,41 +291,6 @@ def _shift(x, q, rows):
     return x
 
 
-def _lattice_basis(rows):
-    """Row basis of the integer lattice generated by ``rows``.
-
-    Euclidean row echelon: entries below each pivot are cleared by
-    subtracting integer multiples of the smallest-magnitude row, which
-    are unimodular operations, so the generated lattice is unchanged and
-    the surviving rows are independent.
-    """
-    work = [list(r) for r in rows if any(r)]
-    if len(work) < 2:
-        # no row or one nonzero row: already a basis
-        return work
-    n = len(work[0])
-    done = 0
-    for col in range(n):
-        live = [i for i in range(done, len(work)) if work[i][col] != 0]
-        if not live:
-            continue
-        while len(live) > 1:
-            live.sort(key=lambda i: abs(work[i][col]))
-            pivot = work[live[0]]
-            pv = pivot[col]
-            kept = [live[0]]
-            for i in live[1:]:
-                f = work[i][col] // pv
-                if f:
-                    work[i] = [a - f * p for a, p in zip(work[i], pivot)]
-                if work[i][col] != 0:
-                    kept.append(i)
-            live = kept
-        work[done], work[live[0]] = work[live[0]], work[done]
-        done += 1
-    return work[:done]
-
-
 def _adjugate(mat):
     """Exact adjugate of a small square integer matrix via minors."""
     k = len(mat)
@@ -315,26 +308,25 @@ def _adjugate(mat):
 def solutions_in_box(report, radius):
     """All integer solutions with every component in [-radius, radius].
 
-    Reduces the projector rows to a lattice basis ``r_1..r_k``; the
-    solutions are ``y = x + q_1 r_1 + ... + q_k r_k``. The first k-1
-    parameters run over an exact per-coordinate bound derived from the
-    adjugate of the basis Gram matrix, so no solution in the box is
-    missed. The last one is solved for, not searched: for the partial
-    point ``y``, ``|y_c + q_k r_kc| <= radius`` holds for the integers
-    ``q_k`` of an interval whose ends are floor quotients, and the
-    intersection of these intervals over the coordinates with
-    ``r_kc != 0`` (the others must already lie in the box) is exactly
-    the set of completions. With k = 1 no bound, Gram matrix or
-    adjugate is needed at all. The returned tuple list is complete and
-    sorted. Intended for small systems; the enumeration is exponential
-    in the lattice dimension minus one.
+    With the report's basis rows ``r_1..r_k``, the first ``n - rank`` rows
+    of ``h``, the solutions are ``y = x + q_1 r_1 + ... + q_k r_k``. The
+    first k-1 parameters run over an exact per-coordinate bound derived from
+    the adjugate of the basis Gram matrix, so no solution in the box is
+    missed. The last one is solved for, not searched: for the partial point
+    ``y``, ``|y_c + q_k r_kc| <= radius`` holds for the integers ``q_k`` of
+    an interval whose ends are floor quotients, and the intersection of
+    these intervals over the coordinates with ``r_kc != 0`` (the others must
+    already lie in the box) is exactly the set of completions. With k = 1 no
+    bound, Gram matrix or adjugate is needed at all. The returned tuple list
+    is complete and sorted. Intended for small systems; the enumeration is
+    exponential in the lattice dimension minus one.
     """
     if report.x is None:
         raise ValueError("no particular solution: the run was incompatible")
     radius = int(radius)
     x = report.x
-    rows = _lattice_basis(report.h)
-    k = len(rows)
+    k = len(x) - report.rank
+    rows = report.h[:k]
     if k == 0:
         if all(abs(v) <= radius for v in x):
             return [tuple(x)]

@@ -33,7 +33,8 @@ def test_kernel_script_times_every_solver_on_this_checkout():
         "mhuang_s", "iqr_s", "gilu_s", "lapack_s", "subtract_outer_s",
         "subtract_outer_slice_s"}
     assert set(out["dio"]) == {"bezout_gcd_n16_s", "solve_n8_s",
-                               "solve_n12_s", "solve_n16_s", "box_3x5_s"}
+                               "solve_n12_s", "solve_n16_s", "solve_n32_s",
+                               "box_3x5_s"}
     assert set(out["kt"]) == {
         "solver_n100_s", "one_shot_n100_s", "solver_n150_s",
         "one_shot_n150_s",
@@ -46,3 +47,20 @@ def test_kernel_script_times_every_solver_on_this_checkout():
     for section in out.values():
         assert all(isinstance(t, float) and t >= 0.0
                    for t in section.values())
+
+
+def _run(attempted, failed):
+    return {"correct": True, "attempted": attempted, "failed": failed,
+            "metrics": {}}
+
+
+def test_fail_frac_reads_a_failing_unit_alike_at_any_speed():
+    # one unit in ten fails in every cycle at the first two seeds and in
+    # none at the third; the change runs more cycles, and more so at the
+    # third seed, so shares pooled over the pairs would differ
+    runs = {"w": [
+        {"parent": _run(400, 40), "change": _run(500, 50)},
+        {"parent": _run(300, 30), "change": _run(600, 60)},
+        {"parent": _run(400, 0), "change": _run(900, 0)}]}
+    summary = _bench_compare().summarize({"end_to_end": []}, runs)
+    assert summary["w"]["fail_frac"] == {"parent": 0.1, "change": 0.1}

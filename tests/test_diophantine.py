@@ -1,6 +1,8 @@
 """Exact integer solver: gcd certificates, ranks, solution enumeration."""
 
+import itertools
 import math
+from operator import mul
 
 import numpy as np
 import pytest
@@ -83,8 +85,11 @@ def test_integer_obstruction_carries_the_partial_report():
     with pytest.raises(IntegerInconsistent) as exc:
         diophantine.solve(a, b)
     err = exc.value
-    assert (err.row, err.delta, err.tau) == (2, 8, -21)
-    assert str(err) == ("equation 2: gcd 8 does not divide residual -21; "
+    assert (err.row, err.delta, err.tau) == (2, 8, 35)
+    # the witness is fixed modulo delta: any basis of the lattice gives
+    # this residual class
+    assert err.tau % 8 == -21 % 8
+    assert str(err) == ("equation 2: gcd 8 does not divide residual 35; "
                         "no integer solution exists")
     rep = err.report
     head = diophantine.solve(a[:2], b[:2])
@@ -93,7 +98,7 @@ def test_integer_obstruction_carries_the_partial_report():
         + [diophantine.INTEGER_INCOMPATIBLE]
     assert rep.rank == 2
     assert rep.deltas == head.deltas
-    # the projector at the failing row: the one left by the rows before
+    # the basis at the failing row: the one left by the rows before
     assert rep.h == head.h
     assert rep.matrix == a and rep.rhs == b
 
@@ -131,6 +136,61 @@ def test_redundant_and_rational_incompatible_rows():
     assert rep.eq_status[1] == diophantine.REDUNDANT
     with pytest.raises(IncompatibleSystem):
         diophantine.solve([[1, 1], [1, 1]], [1, 2])
+
+
+def _unimodular(rng, n):
+    # a product of elementary integer row operations: determinant 1
+    h = np.eye(n, dtype=int)
+    for _ in range(2 * n):
+        i, j = rng.choice(n, size=2, replace=False) if n > 1 else (0, 0)
+        if i != j:
+            h[i] += int(rng.integers(-2, 3)) * h[j]
+    return h.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(1, 5),
+       st.sampled_from(("planted", "shifted", "obstructed")),
+       st.booleans(), st.booleans())
+def test_h_is_a_saturated_basis_of_the_null_lattice(seed, m, n, rhs,
+                                                    with_h1, with_x1):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-4, 5, size=(m, n))
+    if m > 1:
+        # an integer combination of the rows before it: redundant on a
+        # compatible system
+        k = int(rng.integers(1, m))
+        a[k] = rng.integers(-2, 3, size=k) @ a[:k]
+    a = a.tolist()
+    x = rng.integers(-3, 4, size=n).tolist()
+    b = [sum(map(mul, row, x)) for row in a]
+    i = int(rng.integers(m))
+    if rhs == "shifted":
+        b[i] += int(rng.integers(1, 4))
+    elif rhs == "obstructed":
+        a[i] = [3 * v for v in a[i]]
+        b[i] = 3 * b[i] + 1
+    h1 = _unimodular(rng, n) if with_h1 else None
+    x1 = rng.integers(-9, 10, size=n).tolist() if with_x1 else None
+    try:
+        rep = diophantine.solve(a, b, h1=h1, x1=x1)
+        done = m
+    except (IntegerInconsistent, IncompatibleSystem) as exc:
+        rep, done = exc.report, exc.row
+    k = n - rep.rank
+    basis = rep.h[:k]
+    assert len(rep.h) == n
+    assert rep.h[k:] == [[0] * n] * rep.rank
+    assert all(sum(map(mul, br, row)) == 0 for br in basis
+               for row in a[:done])
+    # the maximal minors have gcd 1, so the basis spans every integer
+    # vector of its rational span: x + h^T q reaches every solution
+    minors = [diophantine.bareiss_det([[br[c] for c in cols]
+                                       for br in basis])
+              for cols in itertools.combinations(range(n), k)]
+    assert math.gcd(*minors) == 1
+    if rep.x is not None:
+        assert [sum(map(mul, row, rep.x)) for row in a] == b
 
 
 def test_projector_stays_integer():
@@ -271,7 +331,7 @@ def test_box_with_a_long_first_parameter_range():
     a = [[-3, 2, 2, -2, 2], [3, 1, -1, -1, -3], [-3, 0, 3, 2, 0]]
     b = [-3, -1, 4]
     rep = diophantine.solve(a, b)
-    assert len(diophantine._lattice_basis(rep.h)) == 2
+    assert sum(map(any, rep.h)) == 2
     for radius in (0, 1, 2, 3):
         assert diophantine.solutions_in_box(rep, radius) \
             == oracles.box_solutions(a, b, radius)

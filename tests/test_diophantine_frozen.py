@@ -32,8 +32,8 @@ import random
 from absolve import diophantine, problems
 from absolve.errors import AbsError
 
-DIOPHANTINE_DIGEST = ("a659e1481c79f989a6710221af943585"
-                      "8b59ff8c864fe1263ac59e301ea2fe24")
+DIOPHANTINE_DIGEST = ("cccb27846066f7e6e6a6155deeba09e1"
+                      "a7460465a2b8498a0494e7ec8de675cd")
 VERDICT_DIGEST = ("d22d82a052dfa4ed4a9f62c3129d65c5"
                   "bcf72c041ad1402ef11a362d05a984ed")
 

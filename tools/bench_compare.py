@@ -15,7 +15,8 @@ its ``environment`` record, and leaves the others as they are.
   side runs first, and records every run, each side's median and
   quartiles, the pairs the change wins, and whether a gain can be
   claimed (wins in at least nine tenths of the pairs and medians further
-  apart than the parent's interquartile range).
+  apart than the parent's interquartile range). Its ``fail_frac`` is
+  each side's median over its runs of ``failed / attempted``.
 * ``trace`` makes traced runs of one workload (``--workload``, by
   default ``dense-large``), in pairs that alternate the checkouts, and
   records every run's per-layer metrics and each side's medians. Every
@@ -29,11 +30,12 @@ its ``environment`` record, and leaves the others as they are.
   its trailing n x (n/2) column slice, each bound once
   (``core._BoundUpdate``), as the solvers bind them. The systems are
   regular with n=100, 150, 200, 300 and 600: at the three smaller sizes
-  per-step dispatch weighs most. Under the key ``dio`` it times the exact integer layer: ``bezout_gcd`` over every
-  certificate row that ``diophantine.solve`` meets on three n=16
+  per-step dispatch weighs most. Under the key ``dio`` it times the
+  exact integer layer: ``bezout_gcd`` over every row that
+  ``diophantine.solve`` reduces to its gcd on three n=16
   ``kind="diophantine"`` systems, ``diophantine.solve`` on one system
-  each at n=8, 12 and 16, and ``solutions_in_box`` on a 3x5 system at
-  radius 3. Under the key ``kt`` it times, on the generated KT systems
+  each at n=8, 12, 16 and 32, and ``solutions_in_box`` on a 3x5 system
+  at radius 3. Under the key ``kt`` it times, on the generated KT systems
   with n=100 and 150, one ``KTSolver`` running the four stage pairs and
   the four one-shot ``kt.solve`` calls, and each engine run inside the
   solver's four pairs, in the order they run (``KT_STAGES``: the
@@ -131,15 +133,20 @@ def dio_system(n, seed):
     return p.a_int, p.b_int
 
 
-# the certificate rows: every s that solve hands to bezout_gcd
-rows, bezout = [], diophantine.bezout_gcd
-diophantine.bezout_gcd = lambda s: rows.append(list(s)) or bezout(s)
+# the certificate rows: every s that solve reduces to its gcd, through
+# _folds, or through bezout_gcd in a checkout that has no _folds
+rows = []
+hook = "_folds" if hasattr(diophantine, "_folds") else "bezout_gcd"
+reduce_gcd = getattr(diophantine, hook)
+setattr(diophantine, hook, lambda s: rows.append(list(s)) or reduce_gcd(s))
 for seed in (16, 17, 18):
     diophantine.solve(*dio_system(16, seed))
-diophantine.bezout_gcd = bezout
+setattr(diophantine, hook, reduce_gcd)
+if not rows:
+    raise RuntimeError(f"diophantine.solve made no {hook} call")
 dio = out["dio"] = {"bezout_gcd_n16_s": best_of(
-    lambda: [bezout(s) for s in rows])}
-for n in (8, 12, 16):
+    lambda: [diophantine.bezout_gcd(s) for s in rows])}
+for n in (8, 12, 16, 32):
     system = dio_system(n, n)
     dio[f"solve_n{n}_s"] = best_of(lambda: diophantine.solve(*system))
 box = diophantine.solve([[-2, 1, -1, 2, 2], [1, 0, -1, -2, 0],
@@ -269,9 +276,12 @@ def summarize(spec, runs):
                 "gain_claimable": wins >= 0.9 * len(pairs)
                 and abs(qc["median"] - qp["median"]) > iqr,
             }
+        # each side's median share of failed units per run: a unit that
+        # fails in every cycle reads the same on the side that runs more
+        # cycles
         rows["fail_frac"] = {
-            side: sum(p[side]["failed"] for p in pairs)
-            / sum(p[side]["attempted"] for p in pairs)
+            side: statistics.median(p[side]["failed"] / p[side]["attempted"]
+                                    for p in pairs)
             for side in ("parent", "change")}
     return out
 
