@@ -9,17 +9,6 @@ solver (:mod:`absolve.diophantine`), saddle-point solvers
 (:mod:`absolve.problems`), and a CLI (:mod:`absolve.cli`).
 """
 
-import os
-
-# Cap BLAS parallelism before numpy first loads: results stay bitwise
-# reproducible across machines when reductions are not split across a
-# varying thread count.
-_threads = os.environ.get("ABS_SOLVE_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-
 from . import (core, counting, diophantine, errors, iterative, kt, matfile,
                matrixeq, problems, strategies)
 from .core import (SolveReport, general_solution, implicit_factorization,

@@ -81,7 +81,8 @@ def build_parser():
                             "8 for dio)")
     bench.add_argument("--seed", type=int, default=1)
     bench.add_argument("--rank", type=int, default=None,
-                       help="force rank-deficient problems of this rank")
+                       help="force rank-deficient problems of this rank "
+                            "(determined suite only)")
     bench.add_argument("--times", choices=("none", "wall"), default="none",
                        help="'wall' adds wall-clock seconds; 'none' keeps "
                             "the output reproducible")
@@ -161,8 +162,7 @@ def cmd_solve(args):
 
 def _suite_specs(args, sizes, seed):
     kind = "diophantine" if args.suite == "dio" else args.suite
-    rank = args.rank if args.suite == "determined" else None
-    return [problems.ProblemSpec(kind=kind, n=size, target_rank=rank,
+    return [problems.ProblemSpec(kind=kind, n=size, target_rank=args.rank,
                                  seed=seed + index)
             for index, size in enumerate(sizes)]
 
@@ -185,6 +185,10 @@ def _format_row(problem, method, metrics, times):
 
 
 def cmd_bench(args):
+    # only the determined generator takes a target rank
+    if args.rank is not None and args.suite != "determined":
+        return _fail(f"--rank does not apply to --suite {args.suite}",
+                     EXIT_USAGE)
     methods_arg = args.methods
     if methods_arg is None:
         methods_arg = DEFAULT_METHODS[args.suite]

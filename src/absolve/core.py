@@ -35,11 +35,11 @@ The update ``H <- H - u v^T`` is one k=1 ``dgemm`` through ctypes
 (:class:`_BoundUpdate`), taken from the BLAS that numpy has already
 loaded, or from SciPy's exported one where numpy exposes no ``dgemm``
 symbol. A k=1 ``dgemm`` rounds each product once and each sum once, in
-any BLAS and on any thread count, so the choice moves no byte (see
-:func:`subtract_outer`); it spares the import of ``scipy.linalg``, which
-takes several times as long as the rest of absolve. Beside that
-fallback, only :func:`reconstruct_inverse` and two calls in
-:mod:`absolve.kt` import it, where they run.
+any BLAS and on any thread count, so the choice moves no byte (its
+docstring gives the argument); it spares the import of
+``scipy.linalg``, which takes several times as long as the rest of
+absolve. Beside that fallback, only :func:`reconstruct_inverse` and two
+calls in :mod:`absolve.kt` import it, where they run.
 
 Row indices in reports and exceptions are 0-based.
 
@@ -611,7 +611,7 @@ def _fortran_dgemm():
     search an extension's dependencies), from SciPy's exported capsule
     (:func:`_scipy_dgemm`). Which BLAS runs it changes no byte: a k=1
     update rounds each product once and each sum once in any of them
-    (see :func:`subtract_outer`). It takes every leading dimension as an
+    (see :class:`_BoundUpdate`). It takes every leading dimension as an
     argument, so it updates a strided view in place."""
     address, blas_int = _numpy_dgemm() or _scipy_dgemm()
     return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 13)(address), blas_int
@@ -679,17 +679,55 @@ class _DgemmCall:
 class _BoundUpdate:
     """The rank-one updates of one matrix ``h``, bound once for a run.
 
+    ``bound(u, v)`` is ``h[:len(u), -len(v):] -= np.outer(u, v)`` in
+    place, bit for bit, on the top-right block that the lengths of ``u``
+    and ``v`` give, without the n x n temporary on the BLAS route. Each
+    entry is ``h[i, j] - u[i] * v[j]`` with the product rounded first, as
+    in the unfused expression. ``h`` may be any writable 2-D view; ``v``
+    must not share memory with ``h`` (pass a copy of a row of ``h``). A
+    block larger than ``h`` raises ``ValueError``.
+
     Binding reads what every step shares: whether ``h`` is a row-major
-    float64 view that the ``dgemm`` can update in place, its address and
-    row stride, and the caller's -0 fact (``no_negative_zero``: ``h``
-    holds no -0.0). ``bound(u, v)`` is then
-    ``h[:len(u), -len(v):] -= np.outer(u, v)``, bit for bit, on the
-    top-right block that the lengths of ``u`` and ``v`` give, by the
-    rules of :func:`subtract_outer`. Binding fetches the thread's
-    :class:`_DgemmCall` and grows its workspace to ``rows + cols``; each
-    update copies ``v`` and ``u`` there and sets the call's dims and
-    pointers, so no step reads an address or a layout. A binding is for
-    the thread that made it.
+    float64 view that the ``dgemm`` can update in place (unit column
+    stride, a row stride of at least ``cols``), its address and row
+    stride, and the caller's -0 fact (``no_negative_zero``: ``h`` holds
+    no -0.0). Binding fetches the thread's :class:`_DgemmCall` and grows
+    its workspace to ``rows + cols``; each update copies ``v`` and ``u``
+    there and sets the call's dims and pointers, so no step reads an
+    address or a layout. A binding is for the thread that made it. The
+    engine, the direction deflation and the packed implicit LU bind
+    their matrix once per run, with the fact where they know it.
+
+    The one BLAS route is a k=1 call of the Fortran ``dgemm``
+    (:func:`_fortran_dgemm`), through ctypes, on ``h^T`` in place with
+    the row stride of ``h`` as its leading dimension. It is exact: the
+    kernel's accumulator starts at +0 and takes the one product
+    ``round(u[i] v[j])``, multiplying that by -1 is exact, and adding it
+    to ``h[i, j]`` rounds once, as the unfused subtraction does; the
+    entries are independent, so any BLAS thread count, and any BLAS
+    library, gives the same bytes. The one difference is a product of
+    exactly -0, which the accumulator turns into +0: where ``h[i, j]`` is
+    -0 the kernel leaves -0 and the unfused expression gives +0. The
+    route is therefore taken when ``h`` is such a view, the sum of the
+    squares of ``u`` and ``v`` is finite (an inf or a NaN fails, and so,
+    conservatively, does a sum that overflows), and either the binding
+    states the -0 fact or no product can round to zero
+    (``min|u| min|v| > 0``, by the monotonicity of rounding). The
+    magnitude test runs from ``_CHECKED_MIN`` entries; the fact takes the
+    route at any size. Everything else takes one numpy
+    ``np.subtract(h, np.multiply(u[:, None], v), out=h)``. Neither path
+    creates a -0 in a matrix that holds none (``x - y`` is -0 only when
+    ``x`` is), so one check of the matrix a run starts with states the
+    fact for the run. A true fact changes no byte; a false one can leave
+    a -0 where the unfused expression gives +0.
+
+    Under the fact an update of ``_EDGE_SEARCH_MIN`` entries or more also
+    leaves out the leading and trailing rows where ``u`` is +-0, and does
+    nothing when all of ``u`` is: ``h[i, j] - (+-0)`` is ``h[i, j]`` for
+    every ``h[i, j]`` but -0 and a signalling NaN, which numpy never
+    makes. These are the zeroed rows of the implicit LU projectors and
+    the trailing zeros of the deflated directions of
+    :func:`absolve.strategies.gilu_solve`.
     """
 
     __slots__ = ("h", "_rows", "_cols", "_clean", "_target", "_ld",
@@ -762,60 +800,6 @@ class _BoundUpdate:
                 return
         h = self.h[:rows, self._cols - cols:]
         np.subtract(h, np.multiply(u[:, None], v), out=h)
-
-
-def subtract_outer(h, u, v):
-    """In place ``h -= np.outer(u, v)``, bit for bit, without the n x n
-    temporary on the BLAS route.
-
-    Each entry is ``h[i, j] - u[i] * v[j]`` with the product rounded
-    first, as in the unfused expression. ``h`` may be any writable 2-D
-    view; ``v`` must not share memory with ``h`` (pass a copy of a row
-    of ``h``).
-
-    The one BLAS route is a k=1 call of the Fortran ``dgemm`` of the BLAS
-    that numpy has loaded (SciPy's exported one where numpy exposes none,
-    see :func:`_fortran_dgemm`), through ctypes, on ``h^T`` in place with
-    the row stride of ``h`` as its leading dimension. It is exact: the
-    kernel's accumulator starts at +0 and takes the one product
-    ``round(u[i] v[j])``, multiplying that by -1 is exact, and adding it to
-    ``h[i, j]`` rounds once, as the unfused subtraction does; the entries
-    are independent, so any BLAS thread count, and any BLAS library, gives
-    the same bytes. The one difference is a product of exactly -0, which the
-    accumulator turns into +0: where ``h[i, j]`` is -0 the kernel leaves -0
-    and the unfused expression gives +0. The route is therefore taken when
-    ``h`` is a row-major float64 view (unit column stride, a row stride of
-    at least ``cols``), the sum of the squares of ``u`` and ``v`` is finite
-    (an inf or a NaN fails, and so, conservatively, does a sum that
-    overflows), and either the caller's binding states the -0 fact, that
-    ``h`` holds no -0.0 (``_BoundUpdate(h, True)``), or no product can round
-    to zero (``min|u| min|v| > 0``, by the monotonicity of rounding). The
-    magnitude test runs from ``_CHECKED_MIN`` entries; the fact takes the
-    route at any size. Everything else takes one numpy
-    ``np.subtract(h, np.multiply(u[:, None], v), out=h)``. Neither path
-    creates a -0 in a matrix that holds none (``x - y`` is -0 only when
-    ``x`` is), so one check of the matrix a run starts with states the fact
-    for the run. A true fact changes no byte; a false one can leave a -0
-    where the unfused expression gives +0.
-
-    Under the fact an update of ``_EDGE_SEARCH_MIN`` entries or more also
-    leaves out the leading and trailing rows where ``u`` is +-0, and does
-    nothing when all of ``u`` is: ``h[i, j] - (+-0)`` is ``h[i, j]`` for
-    every ``h[i, j]`` but -0 and a signalling NaN, which numpy never
-    makes. These are the zeroed rows of the implicit LU projectors and
-    the trailing zeros of the deflated directions of
-    :func:`absolve.strategies.gilu_solve`.
-
-    The call binds ``h`` for one update without the fact
-    (:class:`_BoundUpdate`); the engine, the direction deflation and the
-    packed implicit LU bind their matrix once per run, with the fact
-    where they know it. Each thread's bindings share one ``dgemm`` call
-    (:class:`_DgemmCall`).
-    """
-    if u.shape != h.shape[:1] or v.shape != h.shape[1:]:
-        raise ValueError(f"u {u.shape} and v {v.shape} do not match h "
-                         f"{h.shape}")
-    _BoundUpdate(h)(u, v)
 
 
 def general_solution(report, q):

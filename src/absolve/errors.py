@@ -34,7 +34,11 @@ class StrategyBreakdown(AbsError):
     """The search direction of equation ``row`` gives a vanishing pivot.
 
     Raised by the engine (the supplied direction seed z has z.s = 0), by
-    the direction-deflation solvers and by :func:`absolve.matrixeq.solve`.
+    the strategies' update seeds (``update_factors``: the update pivot
+    w.H.y of :class:`~absolve.strategies.GeneralStrategy`, ``iqr`` and
+    ``cgdir``, the reprojected direction of ``mhuang``, the pivot
+    component of ``ilx``), by the direction-deflation solvers and by
+    :func:`absolve.matrixeq.solve`.
     """
 
     def __init__(self, row, detail=""):
@@ -56,10 +60,6 @@ class RegularityFailure(StrategyBreakdown):
     def __init__(self, row):
         super().__init__(row, detail="leading principal minor vanishes; "
                                      "the matrix is not regular")
-
-
-class DivisionByZero(AbsError):
-    """A projector update divides by an exact zero (inadmissible w)."""
 
 
 class NotFullRank(AbsError):

@@ -32,8 +32,7 @@ import numpy as np
 
 from . import core
 from .counting import OpCounter, StorageMeter
-from .errors import (DivisionByZero, RegularityFailure, StrategyBreakdown,
-                     UnsupportedShape)
+from .errors import RegularityFailure, StrategyBreakdown, UnsupportedShape
 
 
 class ParameterStrategy:
@@ -98,13 +97,15 @@ class ParameterStrategy:
         raise NotImplementedError
 
 
-def _oblique_factors(state, s, w, wh):
-    """Factors of ``H <- H - s (w^T H) / (w^T s)`` given ``wh = w^T H``."""
+def _oblique_factors(i, state, s, w, wh):
+    """Factors of ``H <- H - s (w^T H) / (w^T s)`` at equation ``i``,
+    given ``wh = w^T H``."""
     den_w = float(w @ s)
     n = state.n
     if den_w == 0.0:
         state.counter.add(n * n + n)
-        raise DivisionByZero("projector update pivot w.H.y vanished")
+        raise StrategyBreakdown(
+            i, detail="projector update pivot w.H.y vanished")
     state.counter.add(2 * (n * n + n))
     return s, wh / den_w
 
@@ -157,7 +158,8 @@ class ModifiedHuangStrategy(ParameterStrategy):
         den_p = float(p @ p)
         if den_p == 0.0:
             state.counter.add(n)
-            raise DivisionByZero("reprojected direction vanished")
+            raise StrategyBreakdown(
+                i, detail="reprojected direction vanished")
         state.counter.add(n * n + 2 * n)
         return p, p / den_p
 
@@ -197,7 +199,8 @@ class ImplicitLXStrategy(ParameterStrategy):
         n = state.n
         pivot = float(s[self._k])
         if pivot == 0.0:
-            raise DivisionByZero("pivot component of the projected row is 0")
+            raise StrategyBreakdown(
+                i, detail="pivot component of the projected row is 0")
         state.counter.add(n * n + n)
         # dividing on the s side zeroes row k exactly (s_k/s_k == 1), and
         # p is row k
@@ -271,7 +274,7 @@ class _CachedSearchStrategy(ParameterStrategy):
     def update_factors(self, i, state, s, p, den):
         # w = a_i, and the kept p = H^T a_i has the bytes of w^T H (the
         # same BLAS call), so the update reuses it
-        return _oblique_factors(state, s, state.matrix[i], p)
+        return _oblique_factors(i, state, s, state.matrix[i], p)
 
 
 class ImplicitQRStrategy(_CachedSearchStrategy):
@@ -376,7 +379,7 @@ class GeneralStrategy(ParameterStrategy):
 
     def update_factors(self, i, state, s, p, den):
         w = self._z if self.w is None else self.w[:, i]
-        return _oblique_factors(state, s, w, w @ state.h)
+        return _oblique_factors(i, state, s, w, w @ state.h)
 
 
 _REGISTRY = {
@@ -451,7 +454,7 @@ def implicit_lu_solve(a, b, tol=None, counter=None):
     the column contributions to the new column in ascending column order,
     the order of a scalar loop over the columns. The block itself, a
     column slice of the buffer, takes one rank-one update (see
-    :func:`absolve.core.subtract_outer`) through the buffer, which the
+    :class:`absolve.core._BoundUpdate`) through the buffer, which the
     solve binds once: a strided ``dgemm`` on the slice in place.
 
     Raises :class:`~absolve.errors.RegularityFailure` when a leading

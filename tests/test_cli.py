@@ -454,6 +454,19 @@ def test_bench_deficient_rank_column(capsys):
     assert fields[6] == "4"
 
 
+@pytest.mark.parametrize("suite", [s for s in cli.SUITES
+                                   if s != "determined"])
+def test_bench_rank_is_a_usage_error_where_it_does_not_apply(capsys, suite):
+    # only the determined generator takes a target rank; elsewhere the
+    # table would be the one without --rank
+    code = cli.main(["bench", "--suite", suite, "--sizes", "6",
+                     "--rank", "3"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == f"absolve: --rank does not apply to --suite {suite}\n"
+
+
 def test_bench_wall_times_column(capsys):
     lines = bench_lines(capsys, ["--suite", "determined", "--sizes", "6",
                                  "--times", "wall", "--methods", "ilu"])

@@ -111,7 +111,7 @@ def test_keep_iterates_records_every_equation():
 
 
 def _subtract_outer_case(name, rng):
-    """(h, u, v) as each caller of ``subtract_outer`` passes them."""
+    """(h, u, v) as each caller of the rank-one update passes them."""
     if name == "contiguous":
         return rng.standard_normal((7, 5)), rng.standard_normal(7), \
             rng.standard_normal(5)
@@ -141,7 +141,7 @@ def test_subtract_outer_matches_the_unfused_expression(case):
     parent = h.base if case == "column-slice" else h
     before = parent.copy()
     expected = h - np.outer(u, v)
-    core.subtract_outer(h, u, v)
+    core._BoundUpdate(h)(u, v)
     assert np.array_equal(h, expected)
     assert np.array_equal(np.signbit(h), np.signbit(expected))
     # columns outside the view are left alone
@@ -196,9 +196,9 @@ def _fused(h, u, v):
 
 @pytest.fixture
 def dgemm_calls(monkeypatch):
-    """Records the BLAS calls of the rank-one updates, one-shot and
-    bound, as the ``(cols, rows)`` of the update: the ``M`` and ``N`` of
-    the one ``dgemm`` entry point."""
+    """Records the BLAS calls of the bound rank-one updates, as the
+    ``(cols, rows)`` of the update: the ``M`` and ``N`` of the one
+    ``dgemm`` entry point."""
     calls = []
     real = core._DGEMM
 
@@ -216,7 +216,7 @@ def _check_subtract_outer(h, u, v, parent=None):
     outside = parent.shape[1] - h.shape[1]
     before = parent[:, :outside].copy()
     expected = h - np.outer(u, v)
-    core.subtract_outer(h, u, v)
+    core._BoundUpdate(h)(u, v)
     assert h.tobytes() == expected.tobytes()
     assert np.array_equal(np.signbit(h), np.signbit(expected))
     assert parent[:, :outside].tobytes() == before.tobytes()
@@ -383,7 +383,7 @@ def test_subtract_outer_updates_a_column_slice_in_its_parent(dgemm_calls):
 
 
 def _check_view_update(parent, index, u, v, fact=False):
-    """subtract_outer on the view ``parent[index]``: the view gets the
+    """The update of the view ``parent[index]``: the view gets the
     unfused bytes, and no entry of parent outside it changes."""
     h = parent[index]
     outside = np.ones(parent.shape, dtype=bool)
@@ -767,8 +767,6 @@ def test_bound_updates_reject_blocks_larger_than_the_matrix():
     bound = core._BoundUpdate(np.zeros((3, 4)), True)
     with pytest.raises(ValueError):
         bound(np.ones(4), np.ones(4))
-    with pytest.raises(ValueError):
-        core.subtract_outer(np.zeros((3, 4)), np.ones(3), np.ones(3))
 
 
 def test_threads_solving_systems_of_one_shape_get_the_serial_bytes():

@@ -44,9 +44,11 @@ ENGINE_DIGEST = ("9d533a2193e715aff0f34aea94387e66"
 PACKED_LU_DIGEST = ("56a1f6f9dc807044b1f6ae8febe09ee6"
                     "7c397f8570c953cfd681d01371b61da2")
 # GeneralStrategy with explicit v, z, w and h1, recorded when the engine
-# still passed z and w between the hooks (direction_seed, projection_seed)
-GENERAL_DIGEST = ("53252724ee9022138b4a21b0c212b488"
-                  "827aded581efd080933aee04af85d209")
+# still passed z and w between the hooks (direction_seed, projection_seed);
+# re-recorded when a vanishing update pivot became a StrategyBreakdown
+# that names its row (general-zero-w, the one run that moved)
+GENERAL_DIGEST = ("35777e566710be648d7d7bfaf1ede0a5"
+                  "561f266d2a5f8b12d6e5cf8477686636")
 
 SIZES = (*range(1, 40), 63, 64, 65, 100, 129, 200, 257, 300)
 ENGINE_STRATEGIES = ("huang", "mhuang", "ilu", "ilx", "iqr")

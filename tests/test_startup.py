@@ -7,6 +7,9 @@ absolve after numpy, so ``import absolve``, ``import absolve.cli``, every
 ``absolve bench`` suite but ``kt`` leave it out; the rank-one update
 takes its ``dgemm`` from the BLAS that numpy has loaded. Each check runs
 in a fresh interpreter, since the test process has long imported SciPy.
+
+``import absolve`` also leaves the environment as it finds it: the BLAS
+thread count is the caller's to set before Python starts.
 """
 
 import json
@@ -22,6 +25,11 @@ SRC = os.path.join(ROOT, "src")
 # the bench suites but kt, whose default methods finish with b2 too
 SUITES = ("determined", "overdetermined", "underdetermined", "dio")
 
+# the standard BLAS thread variables, which the fresh interpreter starts
+# without
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
 # the solves, each on a system written by the generator: (method, kind, n)
 SOLVES = [
     ("huang", "determined", 8), ("mhuang", "determined", 8),
@@ -35,8 +43,12 @@ import contextlib, json, os, sys
 sys.path.insert(0, sys.argv[1])
 loaded = lambda: "scipy.linalg" in sys.modules
 out = {}
+before = dict(os.environ)
 import absolve
 out["import absolve"] = loaded()
+out["environ changes"] = sorted(
+    k for k in before.keys() | os.environ.keys()
+    if before.get(k) != os.environ.get(k))
 import absolve.cli
 out["import absolve.cli"] = loaded()
 from absolve import cli, core, kt, matfile, problems
@@ -78,16 +90,23 @@ print(json.dumps(out))
 
 @pytest.fixture(scope="module")
 def fresh(tmp_path_factory):
+    # the variable that older versions copied into the four BLAS ones
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["ABS_SOLVE_THREADS"] = "1"
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, SRC, json.dumps(SOLVES),
          str(tmp_path_factory.mktemp("startup")), json.dumps(SUITES)],
-        capture_output=True, text=True, check=True, timeout=300)
+        capture_output=True, text=True, check=True, timeout=300, env=env)
     return json.loads(proc.stdout)
 
 
 @pytest.mark.parametrize("module", ("absolve", "absolve.cli"))
 def test_import_leaves_scipy_linalg_out(fresh, module):
     assert fresh[f"import {module}"] is False
+
+
+def test_import_leaves_the_environment_alone(fresh):
+    assert fresh["environ changes"] == []
 
 
 @pytest.mark.parametrize("method", [method for method, _, _ in SOLVES])

@@ -76,9 +76,9 @@ def _sprinkle(rng, a, rate, values):
 @pytest.mark.parametrize("seed", range(20))
 def test_implicit_lu_update_equals_the_full_update(seed):
     # for any s, any start and any order of pivot rows the factors of
-    # update_factors give h - outer(s / s_k, h_k), bit for bit; a one-shot
-    # update has no -0 fact, so subtract_outer updates every row (the row
-    # skip of a run is tested in test_core)
+    # update_factors give h - outer(s / s_k, h_k), bit for bit; a binding
+    # without the -0 fact updates every row (the row skip of a run is
+    # tested in test_core)
     rng = np.random.default_rng(seed)
     n = 80
     h = rng.standard_normal((n, n))
@@ -96,10 +96,30 @@ def test_implicit_lu_update_equals_the_full_update(seed):
             _sprinkle(rng, s[:k], 0.9, [0.0, -0.0])
             _sprinkle(rng, s, 0.01, [np.inf, -np.inf, np.nan])
             p = strategy.search_vector(int(k), state, s)
-            core.subtract_outer(state.h, *strategy.update_factors(
+            core._BoundUpdate(state.h)(*strategy.update_factors(
                 int(k), state, s, p, None))
             expected -= np.outer(s / s[k], expected[k].copy())
             assert state.h.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", ("general", "iqr", "cgdir", "mhuang",
+                                  "ilx"))
+def test_a_vanishing_update_seed_is_a_breakdown_at_its_row(name):
+    # s is orthogonal to row 2 of the matrix and to the seed w_2 = e_2,
+    # its component at the ilx pivot index is 0, and the reprojected
+    # direction p is 0
+    a = np.eye(3)
+    s = np.array([0.0, 1.0, 0.0])
+    state = core.ProjectorState(h=np.eye(3), matrix=a)
+    strategy = strategies.GeneralStrategy(w=a) if name == "general" \
+        else strategies.make_strategy(name)
+    strategy.begin(a)
+    strategy._k = 0
+    with pytest.raises(StrategyBreakdown) as exc:
+        strategy.update_factors(2, state, s, np.zeros(3), 1.0)
+    assert type(exc.value) is StrategyBreakdown and exc.value.row == 2
+    assert str(exc.value).startswith(
+        "direction seed at equation 2 gives a vanishing pivot (")
 
 
 def test_implicit_lu_pivots_equal_exact_minor_ratios():

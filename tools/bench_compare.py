@@ -41,8 +41,7 @@ its ``environment`` record, and leaves the others as they are.
   solver's four pairs, in the order they run (``KT_STAGES``: the
   constraint stage, ``a1``, the first ``b1``, ``a2`` and the second
   ``b1``, which resumes the first and steps no row), by wrapping
-  ``core.solve``, and ``core.replay`` in an older checkout that replays
-  the second ``b1`` with it. Under the key ``overdetermined`` it times the
+  ``core.solve``. Under the key ``overdetermined`` it times the
   engine's ``huang``, ``mhuang`` and ``iqr`` on the generated
   overdetermined systems with n=100 and 200 (2n x n), whose second n
   rows come after the n-th pivot. Under the key ``startup`` it records
@@ -66,9 +65,8 @@ import statistics
 import subprocess
 import sys
 
-THREAD_VARS = ("ABS_SOLVE_THREADS", "OMP_NUM_THREADS",
-               "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "NUMEXPR_NUM_THREADS")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+               "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 # the default workload of the traced runs
 TRACE_WORKLOAD = "dense-large"
@@ -133,17 +131,15 @@ def dio_system(n, seed):
     return p.a_int, p.b_int
 
 
-# the certificate rows: every s that solve reduces to its gcd, through
-# _folds, or through bezout_gcd in a checkout that has no _folds
+# the certificate rows: every s that solve reduces to its gcd
 rows = []
-hook = "_folds" if hasattr(diophantine, "_folds") else "bezout_gcd"
-reduce_gcd = getattr(diophantine, hook)
-setattr(diophantine, hook, lambda s: rows.append(list(s)) or reduce_gcd(s))
+folds = diophantine._folds
+diophantine._folds = lambda s: rows.append(list(s)) or folds(s)
 for seed in (16, 17, 18):
     diophantine.solve(*dio_system(16, seed))
-setattr(diophantine, hook, reduce_gcd)
+diophantine._folds = folds
 if not rows:
-    raise RuntimeError(f"diophantine.solve made no {hook} call")
+    raise RuntimeError("diophantine.solve made no _folds call")
 dio = out["dio"] = {"bezout_gcd_n16_s": best_of(
     lambda: [diophantine.bezout_gcd(s) for s in rows])}
 for n in (8, 12, 16, 32):
@@ -166,25 +162,20 @@ def kt_solver_pairs(system):
 # the seconds of each engine run of one solver's four pairs
 def kt_stage_seconds(system):
     seconds = []
+    engine = core.solve
 
-    def timed(engine):
-        def call(*args, **kwargs):
-            t0 = time.perf_counter()
-            try:
-                return engine(*args, **kwargs)
-            finally:
-                seconds.append(time.perf_counter() - t0)
-        return call
+    def timed(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return engine(*args, **kwargs)
+        finally:
+            seconds.append(time.perf_counter() - t0)
 
-    engines = {name: getattr(core, name) for name in ("solve", "replay")
-               if hasattr(core, name)}
-    for name, engine in engines.items():
-        setattr(core, name, timed(engine))
+    core.solve = timed
     try:
         kt_solver_pairs(system)
     finally:
-        for name, engine in engines.items():
-            setattr(core, name, engine)
+        core.solve = engine
     return seconds
 
 
