@@ -6,7 +6,9 @@ the solution. ``absolve bench --suite determined`` generates a seeded
 problem set and prints a fixed-layout report table.
 
 Exit codes: 0 solved, 1 incompatible system, 2 solver breakdown,
-64 usage error, 65 unreadable or malformed input file.
+64 usage error, 65 unreadable or malformed input file, 73 an ``--out``
+file that cannot be written (a missing directory, a directory, no
+permission).
 
 Benchmark output is byte-identical for equal arguments: problems are
 seeded, rows are emitted in a fixed order, and wall-clock times are
@@ -25,6 +27,7 @@ EXIT_INCOMPATIBLE = 1
 EXIT_BREAKDOWN = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_CANTCREAT = 73
 
 SUITES = ("determined", "overdetermined", "underdetermined", "kt", "dio")
 
@@ -96,6 +99,11 @@ def _fail(message, code):
     return code
 
 
+def _cannot_write(path, exc):
+    return _fail(f"cannot write {path}: {exc.strerror or exc}",
+                 EXIT_CANTCREAT)
+
+
 def cmd_solve(args):
     try:
         head, _ = problems.parse_method(args.method)
@@ -154,7 +162,10 @@ def cmd_solve(args):
 
     print(f"rank {rank}", file=sys.stderr)
     if args.out:
-        matfile.write_matrix(args.out, x, kind="real")
+        try:
+            matfile.write_matrix(args.out, x, kind="real")
+        except OSError as exc:
+            return _cannot_write(args.out, exc)
     else:
         sys.stdout.write("".join([f"{float(v)!r}\n" for v in x.tolist()]))
     return EXIT_OK
@@ -231,8 +242,11 @@ def cmd_bench(args):
 
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="ascii") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _cannot_write(args.out, exc)
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -7,10 +7,12 @@ include the arithmetic spent on tolerance tests (norms, scale factors); the
 documentation of each solver states this.
 
 A loop may add up a step's multiplies and increment the counter once per
-step, as the engine and the direction deflation do; it then adds what the
-step has done before any exception leaves it, so a partial report, or a
-counter the caller passed in, reads the same total as if each call had
-been counted as it ran.
+step, as the engine, the direction deflation and the packed implicit LU
+do; it then adds what the step has done before any exception leaves it,
+so a partial report, or a counter the caller passed in, reads the same
+total as if each call had been counted as it ran. The packed implicit LU
+moves its storage meter once per step as well, by entries that keep the
+live count and the peak of the per-array calls of its column loop.
 
 Counts are those of the formula a step evaluates, not of the entries the
 code happens to touch: a rank-one update of an n x n projector counts n^2

@@ -432,6 +432,16 @@ class CompactLUWorkspace:
     n: int
 
 
+# Fewest products of a step (i x w, block rows by new-column entries)
+# from which a run with the products fact forms them with ``np.einsum``.
+# With one BLAS thread on a 2-vCPU Xeon VM (fastest of 15 x 3 x 500 calls
+# on blocks of an n x n buffer, as the packed implicit LU passes them),
+# the einsum took 1.29-1.39x the multiply's time from 720 to 992
+# products, 0.91-1.07x from 1800 to 2450, 0.82-0.87x from 2976 to 4032
+# and 0.66-0.69x from 8100 to 16256.
+_EXACT_PRODUCTS_MIN = 2048
+
+
 def implicit_lu_solve(a, b, tol=None, counter=None):
     """Solve a regular square system by projection, storing only the
     nonzero projector block.
@@ -450,12 +460,44 @@ def implicit_lu_solve(a, b, tol=None, counter=None):
     more than the metered ceiling: the buffer trades the ceiling for
     whole-block numpy calls.
 
-    Each step makes a fixed number of numpy calls on the block, and adds
-    the column contributions to the new column in ascending column order,
-    the order of a scalar loop over the columns. The block itself, a
-    column slice of the buffer, takes one rank-one update (see
-    :class:`absolve.core._BoundUpdate`) through the buffer, which the
-    solve binds once: a strided ``dgemm`` on the slice in place.
+    Each step makes a fixed number of numpy calls on the block. The
+    block itself, a column slice of the buffer, takes one rank-one update
+    (see :class:`absolve.core._BoundUpdate`) through the buffer, which
+    the solve binds once: a strided ``dgemm`` on the slice in place.
+
+    The new column sums ``row[i + 1:]`` and the products
+    ``row[c] * block[c, j]`` in ascending ``c``, as the column loop adds
+    them, the order of a scalar loop over the columns.
+    ``np.add.reduce`` starts from -0.0: from its own +0.0 a -0.0 of
+    ``row[i + 1:]`` would come out +0. The products come from
+    ``np.multiply`` with the row broadcast down the columns, which numpy
+    runs one block row at a time; or, in a run with the products fact and
+    from ``_EXACT_PRODUCTS_MIN`` products, from
+    ``np.einsum("c,cj->cj", ...)``, which runs each block row as a scalar
+    times a contiguous vector, 1.5-2x as fast on the blocks of an n=600
+    run. The fact is that ``a`` is finite and holds no -0.0; the solve
+    reads it once, and only where its largest step reaches the threshold.
+    The einsum adds each product into a zeroed output, so an entry is
+    ``0 + row[c] * block[c, j]``: the rounded product, since adding +0
+    changes no number but -0, so a zero product may come out +0 where the
+    multiply gives -0. With ``a`` finite at most one operand is not: an
+    infinity or a NaN of the block gives the multiply's infinity or NaN.
+    The sum tells the two zeros apart only where its running value is -0,
+    and in round-to-nearest ``x + y`` is -0 only when both ``x`` and
+    ``y`` are. Under the fact the running value starts at ``row[i + 1:]``,
+    which holds no -0.0, so it never is -0, and the new column has the
+    multiply's bytes. A run leaves the route for good at its first step
+    whose new column is not finite, where the block takes the numpy
+    update below; a run without the fact takes the multiply throughout.
+
+    A step adds its multiplies to the counter once, by the formula of
+    the column loop: with ``w = n - i - 1`` entries in the new column,
+    ``3i + n + 2`` for the pivot, its test and the step of ``x``, and
+    ``w (2i + 1)`` for the new column and the block update. A step that
+    fails the pivot test adds the ``i + n + 1`` of the pivot and its
+    test. The meter moves once per step too: ``i + w`` entries come (the
+    heads and the new column), and ``2i`` go (the heads, and the first
+    row of the block, which at the last step is all of it).
 
     Raises :class:`~absolve.errors.RegularityFailure` when a leading
     principal submatrix is singular (within tolerance).
@@ -476,56 +518,65 @@ def implicit_lu_solve(a, b, tol=None, counter=None):
     # the block can hold -0.0 (the stored -t of an exact zero), so its
     # updates state no -0 fact
     update = core._BoundUpdate(packed)
+    # the products fact, read where the largest step (i = (n - 1) // 2)
+    # reaches the einsum's threshold
+    half = (n - 1) // 2
+    products_fact = (half * (n - 1 - half) >= _EXACT_PRODUCTS_MIN
+                     and bool(np.isfinite(a).all())
+                     and not core._holds_negative_zero(a))
+    rhs = b.tolist()
+    head_mags = np.empty(n)
     p_out = []
     pivots = []
     for i in range(n):
         row = a[i]
+        head_row = row[:i]
         # the search vector: the heads of the block's columns, then 1
         p = packed[:i + 1, i].copy()
         p[i] = 1.0
         heads = p[:i]
-        meter.alloc(i)
 
         # pivot: projected diagonal entry (H a_i)_i
-        d = float(row[:i] @ heads) + float(row[i])
-        counter.add(i)
+        d = float(head_row.dot(heads)) + float(row[i])
         a_norm = core._norm(row)
-        counter.add(n)
-        p_bound = max(1.0, float(np.abs(heads).max()) if i else 1.0) \
+        # argmax, as max, finds the first NaN, and skips max's Python
+        # wrapper. |heads| goes to a buffer of the run: an array per step
+        # that outlives the next p leaves a hole in the heap per step
+        # (1 MB more peak RSS at n=600)
+        mags = np.abs(heads, out=head_mags[:i])
+        p_bound = max(1.0, float(mags[mags.argmax()]) if i else 1.0) \
             * math.sqrt(i + 1)
-        counter.add(1)
         if core._pivot_vanishes(d, piv_tol * a_norm * p_bound):
+            counter.add(i + n + 1)
             raise RegularityFailure(i)
 
         # x has support 0..i-1 before this step
-        tau = float(row[:i] @ x[:i]) - float(b[i])
-        counter.add(i)
+        tau = float(head_row.dot(x[:i])) - rhs[i]
         alpha = tau / d
-        counter.add(1)
         x[:i] -= alpha * heads
-        counter.add(i)
         x[i] = -alpha
 
         p_out.append(p)  # output, not metered
         pivots.append(d)
 
-        if i < n - 1:
+        w = n - i - 1
+        if w:
             # sub-diagonal projected entries, then the new column -t/d
-            w = n - i - 1
             body = packed[:i, i + 1:]
             prods = scratch[:(i + 1) * w].reshape(i + 1, w)
             prods[0] = row[i + 1:]
-            np.multiply(body, row[:i, None], out=prods[1:])
-            meter.alloc(w)
-            counter.add(i * w)
+            if products_fact and i * w >= _EXACT_PRODUCTS_MIN:
+                np.einsum("c,cj->cj", head_row, body, out=prods[1:])
+            else:
+                np.multiply(body, head_row[:, None], out=prods[1:])
             if w > 1:
-                # row by row, in column order
-                t = np.add.reduce(prods, axis=0)
+                # row by row, in column order, from -0.0: numpy's own start
+                # is +0.0, and +0 + -0 would lose a -0.0 of row[i + 1:]
+                t = np.add.reduce(prods, axis=0, initial=-0.0)
             else:
                 # a 1-column reduce would switch to pairwise summation
                 t = np.add.accumulate(prods[:, 0])[-1:]
             t /= d
-            counter.add(w)
             # the new column is -t, and body + heads (-t) is body - heads t
             # bit for bit: the product negates exactly and x + (-y) is
             # x - y. Only a NaN product that meets a NaN of the block
@@ -536,15 +587,14 @@ def implicit_lu_solve(a, b, tol=None, counter=None):
                 update(heads, t)  # the block packed[:i, i + 1:]
                 np.negative(t, out=packed[i, i + 1:])
             else:
+                products_fact = False
                 np.negative(t, out=t)
                 np.multiply(heads[:, None], t, out=prods[1:])
                 np.add(body, prods[1:], out=body)
                 packed[i, i + 1:] = t
-            counter.add(i * w)
-            meter.free(i)  # every column of the block drops its head
-        meter.free(i)
-
-    meter.free(max(n - 1, 0))  # the last entry of each of n - 1 columns
+        counter.add(3 * i + n + 2 + w * (2 * i + 1))
+        meter.alloc(i + w)
+        meter.free(2 * i)
 
     res = float(np.linalg.norm(a @ x - b))
     counter.add(n * n + n)

@@ -210,6 +210,24 @@ def test_solve_writes_a_matrix_file(tmp_path, capsys):
     assert np.allclose(x.values, [2.0, 1.0])
 
 
+def unwritable_paths(tmp_path):
+    """(path, reason) for an --out in a missing directory and for an
+    --out that is a directory."""
+    return [(tmp_path / "missing" / "x.txt", "No such file or directory"),
+            (tmp_path, "Is a directory")]
+
+
+def test_solve_reports_an_unwritable_out_path(tmp_path, capsys):
+    mat, rhs = solve_files(tmp_path, [[1.0, 1.0], [0.0, 1.0]], [3.0, 1.0])
+    for path, reason in unwritable_paths(tmp_path):
+        code = cli.main(["solve", mat, rhs, "--out", str(path)])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_CANTCREAT == 73
+        assert out == ""
+        assert f"absolve: cannot write {path}: {reason}\n" in err
+        assert "Traceback" not in err
+
+
 def test_solve_reports_integer_obstruction(tmp_path, capsys):
     mat, rhs = solve_files(tmp_path, [[2, 4]], [3], kind="integer")
     code = cli.main(["solve", mat, rhs, "--method", "dio"])
@@ -444,6 +462,16 @@ def test_bench_is_byte_identical(tmp_path, capsys):
         capsys.readouterr()
         assert code == cli.EXIT_OK
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_bench_reports_an_unwritable_out_path(tmp_path, capsys):
+    for path, reason in unwritable_paths(tmp_path):
+        code = cli.main(["bench", "--suite", "determined", "--sizes", "6",
+                         "--out", str(path)])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_CANTCREAT
+        assert out == ""
+        assert err == f"absolve: cannot write {path}: {reason}\n"
 
 
 def test_bench_deficient_rank_column(capsys):
